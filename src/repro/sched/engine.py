@@ -14,8 +14,9 @@ The engine owns one run's mutable registries (event queue, pending queue,
 free-GPU pool, job states, completion records) and delegates every placement
 decision to the owning scheduler's helpers, so policy behaviour lives in
 exactly one place.  Construction re-binds the scheduler's per-run registry
-attributes (``_states``/``_fg_running``/``_bg_dedicated``/``_free``) exactly
-as ``run()`` historically did — integrity tests inspect them there.
+attributes (``_states``/``_fg_running``/``_open_slots``/``_bg_dedicated``/
+``_free``) exactly as ``run()`` historically did — integrity tests inspect
+them there.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .events import Event, EventKind, EventQueue
 from .failures import NodeFailure, validate_failures
 from .fleet import FleetPool
 from .metrics import FleetMetrics, JobRecord
-from .ordering import PendingQueue, SortedJobList
+from .ordering import OpenSlotIndex, PendingQueue, SortedJobList
 from .policies import SchedulingPolicy, get_policy
 from .traces import TraceJob
 
@@ -192,6 +193,15 @@ class SchedulerEngine:
         scheduler._states = self.states
         scheduler._fg_running = SortedJobList()
         scheduler._bg_dedicated = SortedJobList()
+        scheduler._open_slots = (
+            OpenSlotIndex(
+                scheduler.collocation.bg_idle_efficiency,
+                scheduler.collocation.bg_busy_efficiency,
+                getattr(self.policy, "min_collocation_efficiency", 0.0),
+            )
+            if self.policy.collocate_background
+            else None
+        )
         scheduler._free = self.free
         scheduler._track_failures = False
         self._recorder = scheduler._recorder
@@ -358,6 +368,8 @@ class SchedulerEngine:
         gpus = tuple(state.gpu_ids)
         if state.is_foreground:
             sched._fg_running.remove(state)
+            if sched._open_slots is not None:
+                sched._open_slots.close(state)
         elif not state.collocated:
             sched._bg_dedicated.remove(state)
         sched._advance(state, now)
@@ -367,6 +379,8 @@ class SchedulerEngine:
             host = state.host
             del host.hosted[state.host_index]
             host.guest_order.remove(state)
+            assert sched._open_slots is not None
+            sched._open_slots.refresh(host)
             state.host = None
             if not host.hosted:
                 # Last guest left: the host runs at full speed again.

@@ -42,6 +42,8 @@ __all__ = ["EventKind", "Event", "EventQueue", "GpuPool"]
 
 # Process-wide aggregates for GPU free-list traffic; fetched once at import
 # so the hot path pays a single attribute load + integer add per operation.
+# Both count calls, not GPUs: one ``take`` or ``release`` moves any number
+# of ids (``FleetPool.release`` makes one call per pool it returns GPUs to).
 _POOL_TAKES = global_registry().counter("sched.gpu_pool.takes")
 _POOL_RELEASES = global_registry().counter("sched.gpu_pool.releases")
 

@@ -234,11 +234,24 @@ class FleetPool:
         return self._free[pool_name].take(count)
 
     def release(self, gpu_ids: Iterable[int]) -> None:
-        """Return GPUs to their pools (GPUs on a down host stay down)."""
+        """Return GPUs to their pools (GPUs on a down host stay down).
+
+        Ids are grouped by pool with a range check against the pool's id
+        block, and each pool gets one :meth:`GpuPool.release` call.
+        """
+        batches: Dict[str, List[int]] = {}
+        batch: List[int] = []
+        block = range(0)
         for gpu_id in gpu_ids:
             if gpu_id in self._down:
                 continue  # absorbed until the host recovers
-            self._free[self._fleet.pool_of_gpu(gpu_id)].release([gpu_id])
+            if gpu_id not in block:
+                name = self._fleet.pool_of_gpu(gpu_id)
+                block = self._fleet.gpu_ids_of_pool(name)
+                batch = batches.setdefault(name, [])
+            batch.append(gpu_id)
+        for name, batch in batches.items():
+            self._free[name].release(batch)
 
     def fail_host(self, host_id: int) -> Tuple[int, ...]:
         """Mark a host down; its free GPUs leave the pool immediately.

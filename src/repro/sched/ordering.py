@@ -15,6 +15,9 @@ This module replaces those sorts with structures maintained on mutation:
   key.  Iteration yields jobs in key order for free.
 * :class:`PendingQueue` — a :class:`SortedJobList` keyed by the scheduling
   policy's ``sort_key``, with a maintained count of waiting foreground jobs.
+* :class:`OpenSlotIndex` — the open collocation slots of the running
+  foreground jobs in background-pick order, so a background placement reads
+  one entry instead of scanning every running job's GPUs.
 
 Correctness relies on a property the scheduler enforces: a job's key never
 changes *while it is inside* a structure.  Keys derived from
@@ -30,9 +33,9 @@ code this replaces.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["SortedJobList", "PendingQueue"]
+__all__ = ["SortedJobList", "PendingQueue", "OpenSlotIndex"]
 
 
 class SortedJobList:
@@ -185,3 +188,115 @@ class PendingQueue:
         """Rebuild from :meth:`dump`; the policy must match the dumping run."""
         self._jobs.load(payload["jobs"], resolve)
         self.foreground_waiting = payload["foreground_waiting"]
+
+
+#: An open slot's pick key: ``(busy fraction, host job order, GPU index)``.
+SlotKey = Tuple[float, int, int]
+
+
+class OpenSlotIndex:
+    """Open collocation slots of the running foreground jobs, in pick order.
+
+    A slot is one GPU of a running foreground job.  It is *open* when it
+    hosts no guest and a background job beside it would keep at least
+    ``min_efficiency`` of its isolated throughput.  Background placement
+    takes the open slot minimising ``(busy, order, index)``; :meth:`first`
+    returns it in O(1).
+
+    The index has two levels.  Each tracked job's eligible slots, ranked by
+    ``(busy, index)``, are a pure function of its ``busy_fractions`` list
+    and are memoized per list object: the scheduler shares one list among
+    every job running the same plan, so re-planning re-ranks nothing.  A
+    sorted list then holds one key per job, its best open slot.  Within one
+    job ``order`` is fixed, so the least of those keys is the least open
+    slot overall.  Every update (:meth:`open`, :meth:`close`,
+    :meth:`refresh`) costs O(log jobs) plus the guests the job's best slot
+    skips.
+
+    The efficiency threshold and the collocation efficiencies are read once:
+    they are fixed for the run the index belongs to.
+    """
+
+    def __init__(
+        self, idle_efficiency: float, busy_efficiency: float, min_efficiency: float
+    ) -> None:
+        self._idle_efficiency = idle_efficiency
+        self._busy_efficiency = busy_efficiency
+        self._min_efficiency = min_efficiency
+        # Best open slot of every tracked job that has one, sorted.
+        self._keys: List[SlotKey] = []
+        # job order -> [job, ranked eligible (busy, index) slots, best key].
+        self._jobs: Dict[int, list] = {}
+        # id(busy_fractions) -> (the list, its ranked eligible slots); the
+        # list is held so its id cannot be reused while the entry lives.
+        self._ranked: Dict[int, Tuple[List[float], Tuple[Tuple[float, int], ...]]] = {}
+
+    def _rank(self, fractions: List[float]) -> Tuple[Tuple[float, int], ...]:
+        memo = self._ranked.get(id(fractions))
+        if memo is None:
+            # Expected guest efficiency, in the same float arithmetic as the
+            # scheduler's ``_current_rate``.
+            eligible = [
+                (busy, index)
+                for index, busy in enumerate(fractions)
+                if not (
+                    (1.0 - busy) * self._idle_efficiency
+                    + busy * self._busy_efficiency
+                    < self._min_efficiency
+                )
+            ]
+            memo = self._ranked[id(fractions)] = (fractions, tuple(sorted(eligible)))
+        return memo[1]
+
+    def _place(self, entry: list) -> None:
+        """Re-derive a tracked job's best open slot and re-file its key."""
+        job, ranked, old = entry
+        hosted = job.hosted
+        key: Optional[SlotKey] = None
+        for busy, index in ranked:
+            if index not in hosted:
+                key = (busy, job.order, index)
+                break
+        if key == old:
+            return
+        if old is not None:
+            del self._keys[bisect.bisect_left(self._keys, old)]
+        if key is not None:
+            bisect.insort(self._keys, key)
+        entry[2] = key
+
+    def open(self, job) -> None:
+        """Track a job that started, or re-rank one whose plan changed."""
+        entry = self._jobs.get(job.order)
+        ranked = self._rank(job.busy_fractions)
+        if entry is None:
+            entry = self._jobs[job.order] = [job, ranked, None]
+        else:
+            entry[1] = ranked
+        self._place(entry)
+
+    def close(self, job) -> None:
+        """Stop tracking a job that finished, failed or was cancelled."""
+        entry = self._jobs.pop(job.order, None)
+        if entry is not None and entry[2] is not None:
+            del self._keys[bisect.bisect_left(self._keys, entry[2])]
+
+    def refresh(self, job) -> None:
+        """A guest attached to, or left, the tracked ``job``."""
+        self._place(self._jobs[job.order])
+
+    def first(self) -> Optional[Tuple[Any, int]]:
+        """``(job, GPU index)`` of the least open slot, or ``None``."""
+        if not self._keys:
+            return None
+        _, order, index = self._keys[0]
+        return self._jobs[order][0], index
+
+    def open_slots(self) -> List[SlotKey]:
+        """Every open slot's key, sorted (integrity checks in tests)."""
+        return sorted(
+            (busy, job.order, index)
+            for job, ranked, _ in self._jobs.values()
+            for busy, index in ranked
+            if index not in job.hosted
+        )

@@ -51,7 +51,14 @@ The placement pass is *incremental*: the pending queue, the running
 foreground jobs, the dedicated background jobs and each host's guests are
 kept in mutation-maintained order (:mod:`repro.sched.ordering`) instead of
 being re-sorted on every event, so one scheduling point costs O(changes ·
-log n), not O(n log n).  Everything is deterministic: identical traces,
+log n), not O(n log n).  Background collocation picks its slot from an
+:class:`~repro.sched.ordering.OpenSlotIndex` of open, efficient-enough
+foreground GPUs kept in pick order, updated only where a slot opens or
+closes (foreground start, stop, re-plan and migration; guest attach and
+departure), instead of scanning every running job's GPUs per placement.
+Each distinct plan is placed by the coordinator once, at its first
+install; its busy fractions and busy GPU-seconds are then shared by every
+job that runs it.  Everything is deterministic: identical traces,
 policies and failure schedules produce bit-identical
 :class:`~repro.sched.metrics.FleetMetrics` — and a homogeneous one-pool
 fleet reproduces the pre-fleet scheduler bit for bit.
@@ -98,7 +105,7 @@ from .events import EventKind, EventQueue
 from .failures import CheckpointModel, NodeFailure
 from .fleet import ClusterFleet, FleetPool
 from .metrics import JobRecord
-from .ordering import PendingQueue, SortedJobList
+from .ordering import OpenSlotIndex, PendingQueue, SortedJobList
 from .policies import SchedulingPolicy, floor_pow2, width_cap
 from .traces import TraceJob
 
@@ -170,9 +177,15 @@ class ClusterScheduler:
         # planner object so swapping a planner can never serve the old
         # planner's plans.
         self._planner_fps: Dict[int, Tuple[BurstParallelPlanner, str]] = {}
+        # Per-GPU busy fractions and busy GPU-seconds per iteration of every
+        # installed plan, keyed by plan object (held, so ids stay unique).
+        # Filled lazily at first install, never by prewarming.
+        self._occupancy: Dict[int, Tuple[TrainingPlan, List[float], float]] = {}
         # Mutation-maintained placement registries (re-bound per run).
         self._fg_running = SortedJobList()
         self._bg_dedicated = SortedJobList()
+        #: Open collocation slots; ``None`` under policies that never collocate.
+        self._open_slots: Optional[OpenSlotIndex] = None
         self._free = FleetPool(fleet)
         self._track_failures = False
         # Observability seams (repro.obs).  ``None`` means disabled; every
@@ -599,13 +612,26 @@ class ClusterScheduler:
 
     # --------------------------------------------------------------- placement
     def _install_plan(self, state: _JobState, plan: TrainingPlan) -> None:
-        """Bind a burst-parallel plan (and its per-GPU occupancy) to a job."""
-        coordinator = ClusterCoordinator(num_gpus=plan.total_gpus)
-        coordinator.place_plan(plan)
-        state.busy_fractions = coordinator.busy_fractions(plan.iteration_time)
+        """Bind a burst-parallel plan (and its per-GPU occupancy) to a job.
+
+        The coordinator places each distinct plan once; every later install
+        of the same plan object shares its ``busy_fractions`` list, which
+        is read-only from then on.
+        """
+        occupancy = self._occupancy.get(id(plan))
+        if occupancy is None:
+            coordinator = ClusterCoordinator(num_gpus=plan.total_gpus)
+            coordinator.place_plan(plan)
+            occupancy = (
+                plan,
+                coordinator.busy_fractions(plan.iteration_time),
+                plan.total_gpu_seconds(),
+            )
+            self._occupancy[id(plan)] = occupancy
+        state.busy_fractions = occupancy[1]
         state.plan = plan
         state.base_iter_time = plan.iteration_time
-        state.work_per_iteration = plan.total_gpu_seconds()
+        state.work_per_iteration = occupancy[2]
         state.width = plan.total_gpus
 
     def _start_foreground(
@@ -617,6 +643,8 @@ class ClusterScheduler:
         state.gpu_type = gpu_pool
         state.hosted = {}
         state.guest_order = SortedJobList()
+        if self._open_slots is not None:
+            self._open_slots.open(state)
         if self._recorder is not None:
             gpus = tuple(state.gpu_ids)
             self._recorder.emit(
@@ -665,6 +693,8 @@ class ClusterScheduler:
         first_guest = not host.hosted
         host.hosted[index] = state
         host.guest_order.add(state, (state.order,))
+        assert self._open_slots is not None
+        self._open_slots.refresh(host)
         state.host = host
         state.host_index = index
         state.width = 1
@@ -688,33 +718,19 @@ class ClusterScheduler:
             self._advance(host, now)
             self._reschedule_finish(host, now, queue)
 
-    def _pick_background_host(
-        self, states: Sequence[_JobState], min_efficiency: float
-    ) -> Optional[Tuple[_JobState, int]]:
-        """Most-idle free slot on a running foreground job, or ``None``.
+    def _pick_background_host(self) -> Optional[Tuple[_JobState, int]]:
+        """Most-idle open slot on a running foreground job, or ``None``.
 
-        Slots whose expected background efficiency falls below
-        ``min_efficiency`` are not offered: a background job crawling beside
-        an always-busy foreground is worse than waiting for a free GPU.
+        The slot minimises ``(busy, order, index)`` over the run's open
+        collocation slots: the first entry of :attr:`_open_slots`, which the
+        placement, completion, failure, re-plan and migration paths keep
+        current.  Slots whose expected background efficiency falls below the
+        policy's ``min_collocation_efficiency`` are never indexed: a
+        background job crawling beside an always-busy foreground is worse
+        than waiting for a free GPU.
         """
-        profile = self.collocation
-        best: Optional[Tuple[float, int, int, _JobState]] = None
-        for fg in states:
-            for index, busy in enumerate(fg.busy_fractions):
-                if index in fg.hosted:
-                    continue
-                efficiency = (
-                    (1.0 - busy) * profile.bg_idle_efficiency
-                    + busy * profile.bg_busy_efficiency
-                )
-                if efficiency < min_efficiency:
-                    continue
-                key = (busy, fg.order, index)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (busy, fg.order, index, fg)
-        if best is None:
-            return None
-        return best[3], best[2]
+        assert self._open_slots is not None
+        return self._open_slots.first()
 
     def _detach_background(
         self, state: _JobState, now: float, pending: PendingQueue,
@@ -834,6 +850,8 @@ class ClusterScheduler:
             s for s in list(self._fg_running) if not down.isdisjoint(s.gpu_ids)
         ]
         for state in affected_fg:
+            if self._open_slots is not None:
+                self._open_slots.close(state)
             # Guests are evicted first: one whose specific GPU died rolls
             # back like its host; one on a surviving GPU just loses its slot.
             for guest in list(state.guest_order):
@@ -856,6 +874,8 @@ class ClusterScheduler:
         gpu_pool = state.gpu_type or ""
         if state.is_foreground:
             self._fg_running.remove(state)
+            if self._open_slots is not None:
+                self._open_slots.close(state)
         elif not state.collocated:
             self._bg_dedicated.remove(state)
         self._advance(state, now)
@@ -866,6 +886,8 @@ class ClusterScheduler:
             host = state.host
             del host.hosted[state.host_index]
             host.guest_order.remove(state)
+            assert self._open_slots is not None
+            self._open_slots.refresh(host)
             state.host = None
             if not host.hosted:
                 # Last guest left: the host runs at full speed again.
@@ -1010,10 +1032,7 @@ class ClusterScheduler:
                 self._start_background_dedicated(state, pool_name, now, free, queue)
                 return True
         if policy.collocate_background:
-            min_efficiency = getattr(policy, "min_collocation_efficiency", 0.0)
-            host = self._pick_background_host(
-                list(self._fg_running), min_efficiency
-            )
+            host = self._pick_background_host()
             if host is not None:
                 self._attach_background(state, host[0], host[1], now, queue)
                 return True
@@ -1082,6 +1101,8 @@ class ClusterScheduler:
             state.gpu_ids = free.take(pool_name, width)
             state.gpu_type = pool_name
             self._install_plan(state, plan)
+            if self._open_slots is not None:
+                self._open_slots.open(state)
             if self._recorder is not None:
                 assert old_pool is not None
                 self._recorder.emit(
@@ -1118,6 +1139,8 @@ class ClusterScheduler:
         extra = free.take(state.gpu_type, new_width - state.width)
         state.gpu_ids = state.gpu_ids + extra
         self._install_plan(state, plan)
+        if self._open_slots is not None:
+            self._open_slots.open(state)
         if self._recorder is not None:
             self._recorder.emit(
                 now, EV_GPU_GRANT, job=state.name, pool=state.gpu_type,

@@ -18,11 +18,13 @@ Two deliberate non-goals keep the format small and honest:
   (``base_iter_time``, ``work_per_iteration``, ``busy_fractions``,
   ``width``) is serialized directly — so the restored state carries
   ``plan=None`` and behaves identically.
-* Derived caches (plan cache, graph cache, iso-time cache) are not
-  captured.  They are pure functions of the scheduler's configuration;
-  the restored run recomputes them on demand, and the snapshot *verifies*
-  it is being applied under the same configuration by recomputing each
-  job's ``iso_iter_time`` and comparing exactly.
+* Derived caches (plan cache, graph cache, iso-time cache, plan
+  occupancy) and the open-collocation-slot index are not captured.  The
+  index is rebuilt from the restored running foreground jobs.  The caches
+  are pure functions of the scheduler's configuration; the restored run
+  recomputes them on demand, and the snapshot *verifies* it is being
+  applied under the same configuration by recomputing each job's
+  ``iso_iter_time`` and comparing exactly.
 
 The payload is versioned (``schema``) and fingerprinted
 (:func:`~repro.cache.fingerprint.snapshot_fingerprint`), so persisted
@@ -320,6 +322,10 @@ class EngineSnapshot:
         engine.free.restore_state(payload["free"])
         engine.pending.load(payload["pending"], states.__getitem__)
         sched._fg_running.load(payload["fg_running"], states.__getitem__)
+        if sched._open_slots is not None:
+            # Derived state: the fresh engine's index is empty; refill it.
+            for state in sched._fg_running:
+                sched._open_slots.open(state)
         sched._bg_dedicated.load(payload["bg_dedicated"], states.__getitem__)
         sched._track_failures = payload["track_failures"]
         engine.records.clear()

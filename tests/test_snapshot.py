@@ -34,6 +34,7 @@ from repro.sched import (
     synthetic_trace,
 )
 from repro.sched.events import Event
+from repro.sched.snapshot import SNAPSHOT_SCHEMA
 from repro.serve.replay import result_fingerprint
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,36 @@ class TestEngineSnapshotParity:
     def test_restore_at_random_cut_matches_uninterrupted_run(self, name, cut):
         baseline, total = _baseline(name)
         assert _fingerprint_after_cut(name, cut % (total + 1)) == baseline
+
+
+class TestRestoreWithGuestsInPlace:
+    @pytest.mark.parametrize("name", sorted(_CONFIGS))
+    def test_restore_mid_collocation_rebuilds_the_slot_index(self, name):
+        # The open-slot index is derived state: the payload layout (and so
+        # the schema) is unchanged, and restore rebuilds the index from the
+        # restored running foreground jobs.
+        assert SNAPSHOT_SCHEMA == 1
+        baseline, _ = _baseline(name)
+        config = _CONFIGS[name]
+        source = _load_engine(config)
+        index = source.scheduler._open_slots
+        cuts = 0
+        while source.queue and cuts < 3:
+            source.step()
+            running = list(source.scheduler._fg_running)
+            if not any(fg.hosted for fg in running) or index.first() is None:
+                continue
+            snapshot = EngineSnapshot.from_json(source.snapshot().to_json())
+            target = _build_engine(config)
+            target.restore(snapshot)
+            rebuilt = target.scheduler._open_slots
+            assert rebuilt.open_slots() == index.open_slots()
+            assert rebuilt._keys == index._keys
+            assert rebuilt.first()[0].name == index.first()[0].name
+            target.drain()
+            assert result_fingerprint(target.result()) == baseline
+            cuts += 1
+        assert cuts == 3, "no cut point with guests collocated and slots open"
 
 
 _SUBPROCESS_RESTORE_SCRIPT = """
