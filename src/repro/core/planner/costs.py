@@ -84,7 +84,8 @@ class PlannerCostModel:
         self._comp_cache: Dict[Tuple[int, int], float] = {}
         self._sync_cache: Dict[Tuple[int, int], float] = {}
         self._comm_cache: Dict[Tuple[int, int, int], float] = {}
-        self._fingerprint: Optional[str] = None
+        # (graph version, digest): a graph grown by add_layer re-fingerprints.
+        self._fingerprint: Optional[Tuple[int, str]] = None
 
     def fingerprint(self) -> str:
         """Content fingerprint of every input this cost model derives from.
@@ -94,8 +95,9 @@ class PlannerCostModel:
         identifies cached planner artifacts (and keeps schedulers with
         different profiler/planner configurations from aliasing plans).
         """
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint(
+        version = self.graph.version
+        if self._fingerprint is None or self._fingerprint[0] != version:
+            digest = fingerprint(
                 "cost-model",
                 graph_fingerprint(self.graph),
                 self.global_batch,
@@ -103,7 +105,8 @@ class PlannerCostModel:
                 self.profiler.fingerprint(),
                 self.dtype_bytes,
             )
-        return self._fingerprint
+            self._fingerprint = (version, digest)
+        return self._fingerprint[1]
 
     # --------------------------------------------------------------- comp/sync
     def comp(self, layer_id: int, num_gpus: int) -> float:

@@ -9,33 +9,35 @@ cost is obtained from per-branch linear searches.
 
 Implementation outline
 ----------------------
-* The *trunk* of the graph — the layers every input-to-output path passes
-  through — is the chain of dominators of the sink node.  Trunk layers become
-  ordinary :class:`LayerNode` elements.
-* When two consecutive trunk layers have other layers between them, those
-  layers (grouped into weakly connected components) are the block's branches;
-  a direct edge between the trunk layers adds an empty "identity" branch
-  (e.g. a residual shortcut).  The pair becomes a :class:`BlockNode`.
+* :meth:`ModelGraph.chain_reduction` computes the structure once per graph:
+  the *trunk* (the dominator chain of the sink, i.e. the layers every
+  input-to-output path passes through) and, between consecutive trunk
+  layers with other layers between them, a block whose branches are the
+  weakly connected components of those layers, reduced recursively.  Trunk
+  layers become ordinary :class:`LayerNode` elements and blocks become
+  :class:`BlockNode` elements; a direct edge between the trunk layers adds
+  an empty "identity" branch (e.g. a residual shortcut).
 * A :class:`BlockNode`'s transition cost ``tr((A1, g) -> (A2, h))`` runs the
   linear search on every branch with the branching layer fixed at ``g`` and
   the joining layer fixed at ``h``, then lets the joining layer pick the
   critical branch and schedule each non-critical branch either concurrently
   (on spare GPUs, if it fits within the critical branch's time) or serially —
-  exactly the procedure of Figure 7, step 2.
-* Branches are built recursively, so nested branch/join structures (such as
-  the split 1x3 / 3x1 tails inside InceptionE) reduce naturally.
+  exactly the procedure of Figure 7, step 2.  Only the branch's hand-off to
+  the joining layer depends on ``h``, so each branch's forward rows are
+  relaxed once per ``g`` and only the final join-sink row is priced per
+  ``h``; layer assignments are built only for the blocks in the plan.
+* Nested branch/join structures (such as the split 1x3 / 3x1 tails inside
+  InceptionE) become blocks inside a branch's chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
-from ...models.graph import GraphValidationError, ModelGraph
+from ...models.graph import BranchBlock, ChainElement, ModelGraph
 from .costs import PlannerCostModel
-from .linear_search import solve_chain
+from .linear_search import NodeDecision, chain_assignments, relax_chain
 from .plan import LayerAssignment
 
 __all__ = ["LayerNode", "BlockNode", "build_chain_nodes"]
@@ -90,12 +92,23 @@ class LayerNode:
 
 @dataclass
 class _BranchOutcome:
-    """Result of solving one branch for a fixed (branch-layer, join-layer) pair."""
+    """One branch's best path for a fixed (branch-layer, join-layer) pair.
+
+    Layer assignments are only built from the path's decisions if the block
+    ends up in the plan.
+    """
 
     time: float
     max_gpus: int
-    assignments: List[LayerAssignment]
-    is_empty: bool
+    #: The branch's chain nodes and backtraced decisions; none for the
+    #: identity branch.
+    nodes: List[object] = field(default_factory=list)
+    decisions: List[NodeDecision] = field(default_factory=list)
+
+
+#: A block's time for one (g, h) pair, with each branch's outcome flagged
+#: True if it runs in parallel with the critical branch.
+_Schedule = Tuple[float, List[Tuple[_BranchOutcome, bool]]]
 
 
 @dataclass
@@ -121,7 +134,7 @@ class BlockNode:
         self.exit_layer_id = self.join_layer_id
         self._name = spec.name
         self._op = spec.op
-        self._cache: Dict[Tuple[int, int], Tuple[float, List[LayerAssignment]]] = {}
+        self._cache: Dict[Tuple[int, int], _Schedule] = {}
 
     # --------------------------------------------------------------- protocol
     def candidate_gpus(self) -> Sequence[int]:
@@ -137,7 +150,7 @@ class BlockNode:
         self, prev_exit_layer: Optional[int], prev_gpus: int, num_gpus: int
     ) -> float:
         del prev_exit_layer  # always the branching layer
-        time, _ = self._solve_block(prev_gpus, num_gpus)
+        time, _ = self._schedule(prev_gpus, num_gpus)
         return time
 
     def assignments(
@@ -154,95 +167,94 @@ class BlockNode:
             sync_time=self.costs.sync(self.join_layer_id, num_gpus),
             comm_time=0.0,
         )
-        return list(branch_assignments) + [join_assignment]
+        return branch_assignments + [join_assignment]
 
     # ------------------------------------------------------------------ block
-    def _solve_branch(
-        self, branch_nodes: List[object], branch_gpus: int, join_gpus: int
-    ) -> _BranchOutcome:
-        """Best time through one branch given fixed endpoint widths."""
-        if not branch_nodes:
-            # Identity branch (e.g. a residual shortcut): only the producer's
-            # activations must reach the join layer's GPUs.
-            time = self.costs.comm(
-                self.branch_layer_id, branch_gpus, self.join_layer_id, join_gpus
-            )
-            return _BranchOutcome(time=time, max_gpus=0, assignments=[], is_empty=True)
-
-        sink = _JoinSinkNode(self.costs, self.join_layer_id, join_gpus)
-        solution = solve_chain(
-            list(branch_nodes) + [sink],
-            amp_limit=self.amp_limit,
-            entry_gpus=[branch_gpus],
-            entry_exit_layer=self.branch_layer_id,
-        )
-        assignments: List[LayerAssignment] = []
-        prev = branch_gpus
-        for decision, node in zip(solution.decisions[:-1], branch_nodes):
-            assignments.extend(
-                node.assignments(
-                    prev, decision.num_gpus, decision.stage_time, decision.transition_time
-                )
-            )
-            prev = decision.num_gpus
-        max_gpus = max((d.num_gpus for d in solution.decisions[:-1]), default=0)
-        return _BranchOutcome(
-            time=solution.total_time,
-            max_gpus=max_gpus,
-            assignments=assignments,
-            is_empty=False,
-        )
-
-    def _solve_block(
-        self, branch_gpus: int, join_gpus: int
-    ) -> Tuple[float, List[LayerAssignment]]:
-        """Transition cost and branch assignments for one (g, h) pair."""
+    def _schedule(self, branch_gpus: int, join_gpus: int) -> _Schedule:
+        """Block time for one (g, h) pair; ``h`` is one of the candidate widths."""
         key = (branch_gpus, join_gpus)
-        if key in self._cache:
-            return self._cache[key]
+        if key not in self._cache:
+            self._solve_entry_width(branch_gpus)
+        return self._cache[key]
 
-        outcomes = [
-            self._solve_branch(branch, branch_gpus, join_gpus)
+    def _solve_entry_width(self, branch_gpus: int) -> None:
+        """Solve the block from one branch-layer width to every join width.
+
+        Only a branch's hand-off to the joining layer depends on the join
+        width, so each branch's forward rows are relaxed once here and then
+        extended by one join-sink row per join width.  The rows are dropped
+        afterwards; only the backtraced paths are kept.
+        """
+        branch_rows = [
+            relax_chain(
+                branch,
+                self.amp_limit,
+                entry_gpus=[branch_gpus],
+                entry_exit_layer=self.branch_layer_id,
+            )
             for branch in self.branches
         ]
-        if self.has_identity_branch:
-            outcomes.append(self._solve_branch([], branch_gpus, join_gpus))
+        # (branch index, last width) -> decisions; join widths share paths.
+        paths: Dict[Tuple[int, int], List[NodeDecision]] = {}
+        for join_gpus in self.candidates:
+            sink = _JoinSinkNode(self.costs, self.join_layer_id, join_gpus)
+            outcomes = []
+            for index, (nodes, rows) in enumerate(zip(self.branches, branch_rows)):
+                tail = rows.then([sink], self.amp_limit)
+                last_gpus = tail.parent[0][join_gpus]
+                decisions = paths.get((index, last_gpus))
+                if decisions is None:
+                    decisions = paths[index, last_gpus] = rows.backtrace(last_gpus)
+                outcomes.append(
+                    _BranchOutcome(
+                        time=tail.s[0][join_gpus],
+                        max_gpus=max(d.num_gpus for d in decisions),
+                        nodes=nodes,
+                        decisions=decisions,
+                    )
+                )
+            if self.has_identity_branch:
+                # Identity branch (e.g. a residual shortcut): only the
+                # producer's activations must reach the join layer's GPUs.
+                time = self.costs.comm(
+                    self.branch_layer_id, branch_gpus, self.join_layer_id, join_gpus
+                )
+                outcomes.append(_BranchOutcome(time=time, max_gpus=0))
+            self._cache[branch_gpus, join_gpus] = self._compose(outcomes)
 
-        # The joining layer waits for the critical (slowest) branch; other
-        # branches may run concurrently on spare GPUs if they fit within the
-        # critical branch's time, otherwise they serialize (Figure 7, step 2).
+    def _compose(self, outcomes: List[_BranchOutcome]) -> _Schedule:
+        """Block time of the branch outcomes, each flagged if run in parallel.
+
+        The joining layer waits for the critical (slowest) branch; other
+        branches may run concurrently on spare GPUs if they fit within the
+        critical branch's time, otherwise they serialize (Figure 7, step 2).
+        """
         outcomes.sort(key=lambda o: o.time, reverse=True)
         critical = outcomes[0]
         block_time = critical.time
         gpu_budget = self.total_gpus - max(critical.max_gpus, 1)
-        assignments: List[LayerAssignment] = list(critical.assignments)
+        schedule = [(critical, False)]
         for other in outcomes[1:]:
-            runs_parallel = (
-                not other.is_empty
-                and other.max_gpus <= gpu_budget
-                and other.time <= critical.time
-            ) or (other.is_empty and other.time <= critical.time)
+            # The budget never goes negative, so the identity branch (zero
+            # GPUs) runs in parallel whenever it is fast enough.
+            runs_parallel = other.time <= critical.time and other.max_gpus <= gpu_budget
             if runs_parallel:
                 gpu_budget -= other.max_gpus
-                assignments.extend(
-                    LayerAssignment(
-                        layer_id=a.layer_id,
-                        layer_name=a.layer_name,
-                        op=a.op,
-                        num_gpus=a.num_gpus,
-                        compute_time=a.compute_time,
-                        sync_time=a.sync_time,
-                        comm_time=a.comm_time,
-                        parallel_branch=True,
-                    )
-                    for a in other.assignments
-                )
             else:
                 block_time += other.time
-                assignments.extend(other.assignments)
+            schedule.append((other, runs_parallel))
+        return block_time, schedule
 
-        self._cache[key] = (block_time, assignments)
-        return self._cache[key]
+    def _solve_block(
+        self, branch_gpus: int, join_gpus: int
+    ) -> Tuple[float, List[LayerAssignment]]:
+        """Transition time and branch assignments for one (g, h) pair."""
+        block_time, schedule = self._schedule(branch_gpus, join_gpus)
+        assignments: List[LayerAssignment] = []
+        for outcome, runs_parallel in schedule:
+            for a in chain_assignments(outcome.nodes, outcome.decisions, branch_gpus):
+                assignments.append(replace(a, parallel_branch=True) if runs_parallel else a)
+        return block_time, assignments
 
 
 @dataclass
@@ -279,148 +291,34 @@ class _JoinSinkNode:
         return []
 
 
-# --------------------------------------------------------------------------
-# Decomposition of a ModelGraph into chain nodes.
-# --------------------------------------------------------------------------
-
-class _SubgraphView:
-    """Read-only view of a subset of a ModelGraph with its own source/sink."""
-
-    def __init__(self, graph: ModelGraph, nodes: set, source: int, sink: int) -> None:
-        self._graph = graph
-        self._nodes = nodes
-        self._source = source
-        self._sink = sink
-        self.name = f"{graph.name}[{source}..{sink}]"
-
-    def layer_ids(self) -> List[int]:
-        return [n for n in self._graph.topological_order() if n in self._nodes]
-
-    def topological_order(self) -> List[int]:
-        return self.layer_ids()
-
-    def spec(self, layer_id: int):
-        return self._graph.spec(layer_id)
-
-    def edges(self) -> List[Tuple[int, int]]:
-        return [
-            (a, b)
-            for a, b in self._graph.edges()
-            if a in self._nodes and b in self._nodes
-        ]
-
-    def predecessors(self, layer_id: int) -> List[int]:
-        return [p for p in self._graph.predecessors(layer_id) if p in self._nodes]
-
-    def successors(self, layer_id: int) -> List[int]:
-        return [s for s in self._graph.successors(layer_id) if s in self._nodes]
-
-    def source(self) -> int:
-        return self._source
-
-    def sink(self) -> int:
-        return self._sink
-
-    def subgraph_between(self, start: int, end: int) -> List[int]:
-        return [
-            n
-            for n in self._graph.subgraph_between(start, end)
-            if n in self._nodes
-        ]
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-
-def _build_nodes_for_view(
-    view,
+def _chain_nodes(
+    chain: Sequence[ChainElement],
     costs: PlannerCostModel,
     candidates: Sequence[int],
     total_gpus: int,
     amp_limit: float,
 ) -> List[object]:
-    """Decompose a graph (or subgraph view) into a chain of planner nodes."""
-    # Trunk of the view: dominator chain of its sink.
-    g = nx.DiGraph(view.edges())
-    g.add_nodes_from(view.layer_ids())
-    source, sink = view.source(), view.sink()
-    if len(view) == 1:
-        return [LayerNode(costs, source, candidates)]
-    idom = nx.immediate_dominators(g, source)
-    trunk = [sink]
-    node = sink
-    while node != source:
-        node = idom[node]
-        trunk.append(node)
-    trunk = list(reversed(trunk))
-
-    nodes: List[object] = [LayerNode(costs, trunk[0], candidates)]
-    for upper, lower in zip(trunk, trunk[1:]):
-        components = _branch_components_view(view, upper, lower)
-        direct_edge = lower in view.successors(upper)
-        if not components:
-            nodes.append(LayerNode(costs, lower, candidates))
+    nodes: List[object] = []
+    for element in chain:
+        if not isinstance(element, BranchBlock):
+            nodes.append(LayerNode(costs, element, candidates))
             continue
-        branch_nodes = [
-            _component_chain_nodes_view(view, comp, costs, candidates, total_gpus, amp_limit)
-            for comp in components
-        ]
         nodes.append(
             BlockNode(
                 costs=costs,
-                branch_layer_id=upper,
-                join_layer_id=lower,
-                branches=branch_nodes,
-                has_identity_branch=direct_edge,
+                branch_layer_id=element.branch_layer,
+                join_layer_id=element.join_layer,
+                branches=[
+                    _chain_nodes(branch, costs, candidates, total_gpus, amp_limit)
+                    for branch in element.branches
+                ],
+                has_identity_branch=element.has_identity_branch,
                 candidates=candidates,
                 total_gpus=total_gpus,
                 amp_limit=amp_limit,
             )
         )
     return nodes
-
-
-def _branch_components_view(view, upper: int, lower: int) -> List[List[int]]:
-    between = [n for n in view.subgraph_between(upper, lower) if n not in (upper, lower)]
-    if not between:
-        return []
-    g = nx.DiGraph()
-    g.add_nodes_from(between)
-    between_set = set(between)
-    for a, b in view.edges():
-        if a in between_set and b in between_set:
-            g.add_edge(a, b)
-    components = []
-    for comp in nx.weakly_connected_components(g):
-        ordered = [n for n in view.topological_order() if n in comp]
-        components.append(ordered)
-    components.sort(key=lambda c: c[0])
-    return components
-
-
-def _component_chain_nodes_view(
-    view,
-    component: List[int],
-    costs: PlannerCostModel,
-    candidates: Sequence[int],
-    total_gpus: int,
-    amp_limit: float,
-) -> List[object]:
-    comp_set = set(component)
-    sources = [n for n in component if not any(p in comp_set for p in view.predecessors(n))]
-    sinks = [n for n in component if not any(s in comp_set for s in view.successors(n))]
-    if len(sources) != 1 or len(sinks) != 1:
-        raise GraphValidationError(
-            f"branch component {sorted(component)} has {len(sources)} sources and "
-            f"{len(sinks)} sinks; the graph reduction requires single-entry "
-            "single-exit branches"
-        )
-    if isinstance(view, _SubgraphView):
-        base_graph = view._graph
-    else:
-        base_graph = view
-    sub = _SubgraphView(base_graph, comp_set, sources[0], sinks[0])
-    return _build_nodes_for_view(sub, costs, candidates, total_gpus, amp_limit)
 
 
 def build_chain_nodes(
@@ -434,7 +332,8 @@ def build_chain_nodes(
 
     For chain models (VGG) this is simply one :class:`LayerNode` per layer;
     for branching models each branch/join region becomes a
-    :class:`BlockNode`.
+    :class:`BlockNode`.  The structure comes from the graph's memoized
+    :meth:`~repro.models.graph.ModelGraph.chain_reduction`; only the nodes,
+    which carry this search's widths and caches, are built per call.
     """
-    graph.validate()
-    return _build_nodes_for_view(graph, costs, candidates, total_gpus, amp_limit)
+    return _chain_nodes(graph.chain_reduction(), costs, candidates, total_gpus, amp_limit)

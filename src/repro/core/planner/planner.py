@@ -35,7 +35,7 @@ from ...obs.metrics import global_registry
 from ...profiler.layer_profiler import LayerProfiler
 from .costs import PlannerCostModel, candidate_gpu_counts
 from .graph_reduction import build_chain_nodes
-from .linear_search import solve_chain
+from .linear_search import chain_assignments, solve_chain
 from .plan import LayerAssignment, TrainingPlan
 
 __all__ = ["PlannerConfig", "BurstParallelPlanner"]
@@ -99,9 +99,11 @@ class BurstParallelPlanner:
         # the scheduler's re-planning) hits warm comp/sync/comm caches instead
         # of re-deriving every layer cost from scratch.  Keying by object id
         # is safe while an entry lives, because the cost model keeps its graph
-        # alive; LRU eviction bounds the cache for planners fed an unbounded
-        # stream of distinct graphs.
-        self._cost_models: "OrderedDict[Tuple[int, int], PlannerCostModel]" = (
+        # alive; the graph version in the key makes a graph grown by
+        # add_layer get a fresh cost model (and plan fingerprint).  LRU
+        # eviction bounds the cache for planners fed an unbounded stream of
+        # distinct graphs.
+        self._cost_models: "OrderedDict[Tuple[int, int, int], PlannerCostModel]" = (
             OrderedDict()
         )
 
@@ -109,7 +111,7 @@ class BurstParallelPlanner:
     _COST_MODEL_CACHE_SIZE = 32
 
     def _cost_model(self, graph: ModelGraph, global_batch: int) -> PlannerCostModel:
-        key = (id(graph), global_batch)
+        key = (id(graph), graph.version, global_batch)
         costs = self._cost_models.get(key)
         if costs is None or costs.graph is not graph:
             costs = PlannerCostModel(
@@ -200,18 +202,7 @@ class BurstParallelPlanner:
             nodes = build_chain_nodes(graph, costs, candidates, total_gpus, amp_limit)
             solution = solve_chain(nodes, amp_limit)
 
-        assignments: List[LayerAssignment] = []
-        prev_gpus = 1
-        for decision, node in zip(solution.decisions, nodes):
-            assignments.extend(
-                node.assignments(
-                    prev_gpus,
-                    decision.num_gpus,
-                    decision.stage_time,
-                    decision.transition_time,
-                )
-            )
-            prev_gpus = decision.num_gpus
+        assignments = chain_assignments(nodes, solution.decisions, entry_gpus=1)
         search_time = time.perf_counter() - start
 
         plan = TrainingPlan(

@@ -17,13 +17,15 @@ PyTorch module description rather than embedding device costs in the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
 __all__ = [
     "LayerSpec",
     "ModelGraph",
+    "BranchBlock",
+    "ChainElement",
     "GraphValidationError",
 ]
 
@@ -98,6 +100,27 @@ class LayerSpec:
         return replace(self, name=name)
 
 
+@dataclass(frozen=True)
+class BranchBlock:
+    """A branch/join region between two consecutive trunk layers (Figure 7).
+
+    Each entry of ``branches`` is one parallel branch (a weakly connected
+    component of the layers strictly between the two trunk layers), itself
+    reduced to a chain; branches are ordered by the id of their first layer.
+    A direct edge from the branching to the joining layer (e.g. a residual
+    shortcut) is not a branch of its own; it sets ``has_identity_branch``.
+    """
+
+    branch_layer: int
+    join_layer: int
+    branches: Tuple[Tuple["ChainElement", ...], ...]
+    has_identity_branch: bool
+
+
+#: One element of a reduced chain: a trunk layer id or a branch/join block.
+ChainElement = Union[int, BranchBlock]
+
+
 class ModelGraph:
     """A static DNN computation graph.
 
@@ -113,14 +136,18 @@ class ModelGraph:
         self._g = nx.DiGraph()
         self._specs: Dict[int, LayerSpec] = {}
         self._next_id = 0
-        # Topology memos.  The planner's graph reduction asks for the
-        # topological order and path subgraphs thousands of times per search;
-        # the answers only change when a layer is added, so they are cached
-        # here and invalidated by add_layer.  Accessors return copies so a
-        # caller mutating its result cannot corrupt the memo.
+        #: Bumped by every add_layer, so memos derived from the graph (cost
+        #: models, plan fingerprints) can tell a grown graph from the one
+        #: they were built for.
+        self.version = 0
+        # Topology memos.  The planner asks for the topological order, the
+        # edges and the chain reduction on every search; the answers only
+        # change when a layer is added, so they are cached here and
+        # invalidated by add_layer.  List accessors return copies so a caller
+        # mutating its result cannot corrupt the memo.
         self._topo_cache: Optional[List[int]] = None
         self._edges_cache: Optional[List[Tuple[int, int]]] = None
-        self._between_cache: Dict[Tuple[int, int], List[int]] = {}
+        self._reduction_cache: Optional[Tuple[ChainElement, ...]] = None
 
     # ------------------------------------------------------------------ build
     def add_layer(self, spec: LayerSpec, inputs: Sequence[int] = ()) -> int:
@@ -136,9 +163,10 @@ class ModelGraph:
         self._g.add_node(lid)
         for src in inputs:
             self._g.add_edge(src, lid)
+        self.version += 1
         self._topo_cache = None
         self._edges_cache = None
-        self._between_cache.clear()
+        self._reduction_cache = None
         return lid
 
     # ---------------------------------------------------------------- queries
@@ -269,20 +297,110 @@ class ModelGraph:
         """Layer ids on any path from ``start`` to ``end`` (inclusive)."""
         if start == end:
             return [start]
-        key = (start, end)
-        cached = self._between_cache.get(key)
-        if cached is None:
-            descendants = nx.descendants(self._g, start) | {start}
-            ancestors = nx.ancestors(self._g, end) | {end}
-            nodes = descendants & ancestors
-            cached = [n for n in self.topological_order() if n in nodes]
-            self._between_cache[key] = cached
-        return list(cached)
+        nodes = (nx.descendants(self._g, start) | {start}) & (
+            nx.ancestors(self._g, end) | {end}
+        )
+        return [n for n in self.topological_order() if n in nodes]
 
     def edges(self) -> List[Tuple[int, int]]:
         if self._edges_cache is None:
             self._edges_cache = sorted(self._g.edges())
         return list(self._edges_cache)
+
+    def chain_reduction(self) -> Tuple[ChainElement, ...]:
+        """The graph reduced to a chain of trunk layers and blocks (Figure 7).
+
+        The *trunk* is the dominator chain of the sink: the layers every
+        input-to-output path passes through.  Consecutive trunk layers with
+        other layers between them become a :class:`BranchBlock` whose
+        branches are reduced recursively, so nested branch/join structures
+        (the split tails inside InceptionE) reduce naturally.  A chain model
+        reduces to its layer ids.
+
+        The graph is validated first.  The result is immutable and memoized
+        until the next :meth:`add_layer`.
+
+        Raises
+        ------
+        GraphValidationError
+            If the graph is invalid or a branch has several entries or exits.
+        """
+        if self._reduction_cache is None:
+            self.validate()
+            order = self.topological_order()
+            self._reduction_cache = self._reduce(
+                set(order), self.source(), self.sink(), order,
+                {lid: i for i, lid in enumerate(order)},
+            )
+        return self._reduction_cache
+
+    def _reduce(
+        self,
+        nodes: Set[int],
+        source: int,
+        sink: int,
+        order: List[int],
+        position: Dict[int, int],
+    ) -> Tuple[ChainElement, ...]:
+        """Chain reduction of the single-entry, single-exit subgraph ``nodes``.
+
+        ``order`` is the graph's topological order and ``position`` each
+        layer's index in it.
+        """
+        if len(nodes) == 1:
+            return (source,)
+        idom = nx.immediate_dominators(self._g.subgraph(nodes), source)
+        trunk = [sink]
+        while trunk[-1] != source:
+            trunk.append(idom[trunk[-1]])
+        trunk.reverse()
+
+        chain: List[ChainElement] = [trunk[0]]
+        for upper, lower in zip(trunk, trunk[1:]):
+            # Every layer of the subgraph lies on a source-to-sink path, and
+            # every such path passes through both trunk layers; so the layers
+            # on a path from upper to lower are exactly those ordered
+            # strictly between them.
+            between = [
+                n for n in order[position[upper] + 1 : position[lower]] if n in nodes
+            ]
+            if not between:
+                chain.append(lower)
+                continue
+            components = [
+                sorted(comp, key=position.__getitem__)
+                for comp in nx.weakly_connected_components(self._g.subgraph(between))
+            ]
+            components.sort(key=lambda c: c[0])
+            chain.append(
+                BranchBlock(
+                    branch_layer=upper,
+                    join_layer=lower,
+                    branches=tuple(
+                        self._reduce_branch(comp, order, position) for comp in components
+                    ),
+                    has_identity_branch=self._g.has_edge(upper, lower),
+                )
+            )
+        return tuple(chain)
+
+    def _reduce_branch(
+        self, component: List[int], order: List[int], position: Dict[int, int]
+    ) -> Tuple[ChainElement, ...]:
+        comp_set = set(component)
+        sources = [
+            n for n in component if not any(p in comp_set for p in self._g.predecessors(n))
+        ]
+        sinks = [
+            n for n in component if not any(s in comp_set for s in self._g.successors(n))
+        ]
+        if len(sources) != 1 or len(sinks) != 1:
+            raise GraphValidationError(
+                f"branch component {sorted(component)} has {len(sources)} sources and "
+                f"{len(sinks)} sinks; the graph reduction requires single-entry "
+                "single-exit branches"
+            )
+        return self._reduce(comp_set, sources[0], sinks[0], order, position)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

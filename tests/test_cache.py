@@ -195,6 +195,31 @@ class TestPlanPersistentCache:
         planner.plan(_tiny_graph(dense_flops=2000.0), 8, 2)
         assert planner.cache.stats.writes > writes_before  # recomputed, re-stored
 
+    def test_grown_graph_replans(self, tmp_path):
+        """A layer added after planning must not be served the old plan."""
+        graph = build_model("vgg16")
+        planner = self._planner(tmp_path)
+        before = planner.plan(graph, 32, 8)
+        assert len(before.assignments) == len(graph)
+        sink = graph.sink()
+        out = graph.spec(sink).output_elems_per_sample
+        graph.add_layer(
+            LayerSpec("extra.relu", "relu", float(out), 0, out, out,
+                      bwd_flops_multiplier=1.0),
+            inputs=[sink],
+        )
+        after = planner.plan(graph, 32, 8)
+        assert len(after.assignments) == len(graph) == len(before.assignments) + 1
+        assert planner.cache.stats.hits == 0
+        # A fresh planner over a rebuilt copy of the grown graph agrees.
+        twin = build_model("vgg16")
+        twin.add_layer(graph.spec(len(graph) - 1), inputs=[twin.sink()])
+        fresh = BurstParallelPlanner(
+            get_fabric("nvswitch"), LayerProfiler()
+        ).plan(twin, 32, 8)
+        assert after.assignments == fresh.assignments
+        assert after.iteration_time == fresh.iteration_time
+
     def test_gpu_spec_change_invalidates_plan(self, tmp_path):
         graph = _tiny_graph()
         self._planner(tmp_path, gpu=A100_40GB).plan(graph, 8, 2)

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models import GraphValidationError, LayerSpec, ModelGraph
+from repro.models import GraphValidationError, LayerSpec, ModelGraph, registry
+from repro.models.graph import BranchBlock
 
 
 def make_spec(name="layer", op="conv2d", flops=100.0, params=10, in_elems=8, out_elems=8):
@@ -119,6 +120,53 @@ class TestModelGraphBranching:
         g, (a, b, c, d, e) = self.build_diamond()
         assert set(g.subgraph_between(b, e)) == {b, c, d, e}
         assert g.subgraph_between(c, c) == [c]
+
+    def test_chain_reduction_of_diamond(self):
+        g, (a, b, c, d, e) = self.build_diamond()
+        assert g.chain_reduction() == (
+            a,
+            b,
+            BranchBlock(b, e, ((c,), (d,)), has_identity_branch=False),
+        )
+
+    def test_chain_reduction_is_memoized_until_add_layer(self):
+        g, (a, b, c, d, e) = self.build_diamond()
+        first = g.chain_reduction()
+        assert g.chain_reduction() is first
+        version = g.version
+        f = g.add_layer(make_spec(name="tail"), inputs=[e])
+        assert g.version == version + 1
+        assert g.chain_reduction() == first + (f,)
+
+    def test_chain_reduction_rejects_multi_entry_branch(self):
+        g = ModelGraph("two-entries")
+        a = g.add_layer(make_spec(name="input", op="input"))
+        b = g.add_layer(make_spec(name="split"), inputs=[a])
+        c = g.add_layer(make_spec(name="left"), inputs=[b])
+        d = g.add_layer(make_spec(name="right"), inputs=[b])
+        e = g.add_layer(make_spec(name="mix", op="add"), inputs=[c, d])
+        f = g.add_layer(make_spec(name="side"), inputs=[b])
+        g.add_layer(make_spec(name="join", op="concat"), inputs=[e, f, c])
+        with pytest.raises(GraphValidationError, match="single-entry"):
+            g.chain_reduction()
+
+    @pytest.mark.parametrize("model", registry.available_models())
+    def test_chain_reduction_covers_each_layer_once_in_order(self, model):
+        graph = registry.build_model(model)
+        position = {lid: i for i, lid in enumerate(graph.topological_order())}
+
+        def flatten(chain):
+            for element in chain:
+                if isinstance(element, BranchBlock):
+                    for branch in element.branches:
+                        ids = list(flatten(branch))
+                        assert ids == sorted(ids, key=position.__getitem__)
+                        yield from ids
+                    yield element.join_layer
+                else:
+                    yield element
+
+        assert sorted(flatten(graph.chain_reduction())) == sorted(graph.layer_ids())
 
     def test_duplicate_names_rejected(self):
         g = ModelGraph("dupe")

@@ -5,8 +5,11 @@ from typing import Dict, Sequence
 
 import pytest
 
-from repro.core.planner import solve_chain
+from repro.core.planner import BlockNode, PlannerCostModel, build_chain_nodes, solve_chain
 from repro.core.planner.plan import LayerAssignment
+from repro.models.graph import LayerSpec, ModelGraph
+from repro.network import get_fabric
+from repro.obs.metrics import global_registry
 
 
 @dataclass
@@ -149,3 +152,52 @@ class TestSolveChain:
         tight = solve_chain(nodes, amp_limit=1.2)
         loose = solve_chain(nodes, amp_limit=8.0)
         assert loose.total_time <= tight.total_time + 1e-12
+
+
+class TestBlockRelaxations:
+    """``planner.relaxations`` counts the relaxations a block really evaluates."""
+
+    @staticmethod
+    def _fork_join_nodes():
+        # input -> split -> {a1 -> a2, b1} -> join -> out, at widths 1/2/4.
+        graph = ModelGraph("fork-join")
+
+        def add(name, op, inputs):
+            spec = LayerSpec(name, op, 1e6, 1000 if op != "concat" else 0, 512, 512)
+            return graph.add_layer(spec, inputs=inputs)
+
+        inp = graph.add_layer(
+            LayerSpec("input", "input", 0.0, 0, 0, 512, bwd_flops_multiplier=0.0)
+        )
+        split = add("split", "conv2d", [inp])
+        a2 = add("a2", "conv2d", [add("a1", "conv2d", [split])])
+        b1 = add("b1", "conv2d", [split])
+        add("out", "dense", [add("join", "concat", [a2, b1])])
+        costs = PlannerCostModel(graph=graph, global_batch=64, fabric=get_fabric("nvswitch"))
+        return build_chain_nodes(graph, costs, [1, 2, 4], 4, 2.0)
+
+    def test_block_relaxes_each_branch_once_per_entry_width(self):
+        counter = global_registry().counter("planner.relaxations")
+        nodes = self._fork_join_nodes()
+        block = nodes[2]
+        assert isinstance(block, BlockNode)
+        start = counter.value
+        for g in (1, 2, 4):
+            for h in (1, 2, 4):
+                block.transition_cost(block.branch_layer_id, g, h)
+        # Forward rows once per entry width g: branch a is 3x1 + 3x3, branch
+        # b is 3x1, so 15 per g and 45 in all.  Then one sink row per (g, h)
+        # and branch, 3 relaxations each: 9 pairs x 2 branches x 3 = 54.
+        # (Re-solving both branches per (g, h) would take 9 x 21 = 189.)
+        assert counter.value - start == 45 + 54
+        block.transition_cost(block.branch_layer_id, 2, 4)  # cached pair
+        assert counter.value - start == 99
+
+    def test_whole_plan_counts_outer_and_block_relaxations(self):
+        counter = global_registry().counter("planner.relaxations")
+        nodes = self._fork_join_nodes()
+        start = counter.value
+        solution = solve_chain(nodes, amp_limit=2.0)
+        # Outer chain: input 3x1, split 3x3, block 3x3, out 3x3.
+        assert solution.relaxations == 3 + 9 + 9 + 9
+        assert counter.value - start == solution.relaxations + 99
