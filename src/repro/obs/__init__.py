@@ -4,8 +4,9 @@ Three cooperating pieces, all deterministic and zero-overhead when unused:
 
 * :mod:`repro.obs.metrics` — process-wide counter/timer registry with
   per-object scoped counters that roll up into global aggregates.
-* :mod:`repro.obs.trace` — a :class:`TraceRecorder` that attaches to
-  :class:`~repro.sched.scheduler.ClusterScheduler` and exports the run as
+* :mod:`repro.obs.trace` — a :class:`TraceRecorder` bound to one scheduler
+  run (via :class:`~repro.sched.scheduler.ClusterScheduler` or one
+  :class:`~repro.sched.engine.SchedulerEngine`) that exports the run as
   Chrome ``trace_event`` JSON viewable in Perfetto.
 * :mod:`repro.obs.sampler` — a :class:`TimeSeriesSampler` recording cluster
   gauges on a fixed sim-time grid, with a ``summary()`` reducer.

@@ -6,8 +6,8 @@ per pool, how utilized was the fleet — sampled on a fixed simulated-time
 grid so two runs of the same trace produce the same rows regardless of how
 many events fell between samples.
 
-The scheduler drives the sampler from its event loop: before processing an
-event at sim time ``t`` it calls :meth:`TimeSeriesSampler.advance_to` with a
+The run's engine drives the sampler from its event loop: before processing
+an event at sim time ``t`` it calls :meth:`TimeSeriesSampler.advance_to` with a
 gauge callback.  The sampler decides whether any grid boundaries were
 crossed since the last call; only then does it invoke the callback (once)
 and replicate the reading onto every crossed boundary.  Between boundaries

@@ -1,9 +1,11 @@
 """Deterministic structured tracing for the cluster scheduler.
 
-A :class:`TraceRecorder` attaches to a
-:class:`~repro.sched.scheduler.ClusterScheduler`
-(``scheduler.attach_recorder(recorder)``) and receives one sim-time-stamped
-:class:`ObsEvent` for every state change the event loop performs: job
+A :class:`TraceRecorder` binds to one scheduler run — every later
+:meth:`~repro.sched.scheduler.ClusterScheduler.run` after
+``scheduler.attach_recorder(recorder)``, or one engine built with
+``SchedulerEngine(scheduler, policy, recorder=recorder)`` — and receives one
+sim-time-stamped :class:`ObsEvent` for every state change that run's event
+loop performs: job
 arrivals, placements, collocations, preemptions, re-plans, migrations, node
 failures/recoveries, restarts, completions, and per-pool GPU grants/frees.
 The recorder only *reads* scheduler state — it never perturbs placement,
@@ -136,10 +138,10 @@ class ObsEvent:
 class TraceRecorder:
     """Collects :class:`ObsEvent` rows for one scheduler run.
 
-    The scheduler calls :meth:`begin_run` at the top of every
-    :meth:`~repro.sched.scheduler.ClusterScheduler.run`, which clears the
-    log and binds the fleet (needed to map GPUs onto pool/host tracks at
-    export time) — so one recorder can stay attached across many runs and
+    Each :class:`~repro.sched.engine.SchedulerEngine` it is bound to calls
+    :meth:`begin_run` at construction, which clears the log and binds the
+    fleet (needed to map GPUs onto pool/host tracks at export time) — so
+    one recorder can stay attached to a scheduler across many runs and
     always holds the latest run's events.
     """
 

@@ -75,7 +75,7 @@ from .fleet import ClusterFleet, GpuPoolSpec
 from .metrics import JobRecord, MetricsFold
 from .policies import SchedulingPolicy, get_policy
 from .scheduler import ClusterScheduler
-from .snapshot import EngineSnapshot, _dump_record, _load_record
+from .snapshot import EngineSnapshot, dump_record, load_record
 from .traces import TraceJob
 
 __all__ = [
@@ -302,7 +302,7 @@ def _replay_epoch(
     # The anchor carries no record history, so everything on the restored
     # engine after the advance is this epoch's output.
     steps = engine.drain() if task.end is None else engine.advance_to(task.end)
-    rows = [_dump_record(record) for record in engine.records]
+    rows = [dump_record(record) for record in engine.records]
     after = registry.counter_values()
     counters = {
         name: after[name] - before.get(name, 0)
@@ -546,7 +546,7 @@ def replay_sharded(
             )
         for row in out["rows"]:
             fold.add_row(row)
-            records.append(_load_record(row))
+            records.append(load_record(row))
     final = outs[-1]
     if final["unfinished"]:
         raise RuntimeError(

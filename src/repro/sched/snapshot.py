@@ -48,7 +48,16 @@ from ..cluster.job import JobKind
 from .metrics import JobRecord
 from .traces import TraceJob
 
-__all__ = ["EngineSnapshot", "SNAPSHOT_SCHEMA"]
+__all__ = [
+    "EngineSnapshot",
+    "SNAPSHOT_SCHEMA",
+    "dec_float",
+    "dump_record",
+    "dump_trace_job",
+    "enc_float",
+    "load_record",
+    "load_trace_job",
+]
 
 #: Bumped whenever the payload layout changes; restore rejects other schemas.
 SNAPSHOT_SCHEMA = 1
@@ -73,14 +82,15 @@ def _status_constants() -> Dict[str, str]:
     return _STATUS_CANON
 
 
-def _enc_float(value: float) -> Any:
+def enc_float(value: float) -> Any:
     """Encode a float for canonical JSON; infinities get a named sentinel."""
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
 
 
-def _dec_float(value: Any) -> float:
+def dec_float(value: Any) -> float:
+    """Inverse of :func:`enc_float`."""
     if value == "inf":
         return math.inf
     if value == "-inf":
@@ -88,7 +98,8 @@ def _dec_float(value: Any) -> float:
     return value
 
 
-def _dump_trace_job(job: TraceJob) -> Dict[str, Any]:
+def dump_trace_job(job: TraceJob) -> Dict[str, Any]:
+    """A trace job as a canonical-JSON row."""
     return {
         "name": job.name,
         "model": job.model,
@@ -96,12 +107,13 @@ def _dump_trace_job(job: TraceJob) -> Dict[str, Any]:
         "arrival_time": job.arrival_time,
         "iterations": job.iterations,
         "kind": job.kind.value,
-        "amplification_limit": _enc_float(job.amplification_limit),
+        "amplification_limit": enc_float(job.amplification_limit),
         "max_gpus": job.max_gpus,
     }
 
 
-def _load_trace_job(row: Dict[str, Any]) -> TraceJob:
+def load_trace_job(row: Dict[str, Any]) -> TraceJob:
+    """Inverse of :func:`dump_trace_job`."""
     return TraceJob(
         name=row["name"],
         model=row["model"],
@@ -109,18 +121,20 @@ def _load_trace_job(row: Dict[str, Any]) -> TraceJob:
         arrival_time=row["arrival_time"],
         iterations=row["iterations"],
         kind=JobKind(row["kind"]),
-        amplification_limit=_dec_float(row["amplification_limit"]),
+        amplification_limit=dec_float(row["amplification_limit"]),
         max_gpus=row["max_gpus"],
     )
 
 
-def _dump_record(record: JobRecord) -> Dict[str, Any]:
+def dump_record(record: JobRecord) -> Dict[str, Any]:
+    """A completion record as a canonical-JSON row."""
     row = asdict(record)
     row["kind"] = record.kind.value
     return row
 
 
-def _load_record(row: Dict[str, Any]) -> JobRecord:
+def load_record(row: Dict[str, Any]) -> JobRecord:
+    """Inverse of :func:`dump_record`."""
     data = dict(row)
     data["kind"] = JobKind(data["kind"])
     return JobRecord(**data)
@@ -128,7 +142,7 @@ def _load_record(row: Dict[str, Any]) -> JobRecord:
 
 def _dump_job_state(state) -> Dict[str, Any]:
     return {
-        "trace": _dump_trace_job(state.trace),
+        "trace": dump_trace_job(state.trace),
         "order": state.order,
         "iso_iter_time": state.iso_iter_time,
         "status": state.status,
@@ -208,14 +222,14 @@ class EngineSnapshot:
             "last_finish": engine.last_finish,
             "failures_injected": engine.failures_injected,
             "next_order": engine._order,
-            "track_failures": sched._track_failures,
+            "track_failures": engine.track_failures,
             "queue": engine.queue.snapshot_state(),
             "free": engine.free.snapshot_state(),
             "pending": engine.pending.dump(),
-            "fg_running": sched._fg_running.dump(),
-            "bg_dedicated": sched._bg_dedicated.dump(),
+            "fg_running": engine.fg_running.dump(),
+            "bg_dedicated": engine.bg_dedicated.dump(),
             "jobs": jobs,
-            "records": [_dump_record(r) for r in engine.records],
+            "records": [dump_record(r) for r in engine.records],
         }
         return cls(payload)
 
@@ -227,8 +241,7 @@ class EngineSnapshot:
         on a scheduler whose fleet, policy and planner/profiler configuration
         match the capturing run — all three are verified, the last one by
         recomputing every job's ``iso_iter_time`` and comparing exactly.
-        Restoration mutates the engine's existing containers in place where
-        telemetry gauges or the scheduler hold references to them.
+        Restoration fills the engine's existing containers in place.
         """
         payload = self.payload
         # Schema first: a payload from a different build would otherwise
@@ -265,11 +278,10 @@ class EngineSnapshot:
         rows = sorted(payload["jobs"], key=lambda row: row["order"])
         states: Dict[str, Any] = {}
         for row in rows:
-            trace = _load_trace_job(row["trace"])
+            trace = load_trace_job(row["trace"])
             state = _JobState(
                 trace,
                 row["order"],
-                sched._graph(trace.model),
                 sched._iso_iter_time(trace.model, trace.global_batch),
             )
             if state.iso_iter_time != row["iso_iter_time"]:
@@ -314,22 +326,20 @@ class EngineSnapshot:
             host = row["host"]
             state.host = states[host] if host is not None else None
 
-        # The engine's states dict is aliased by ``scheduler._states``;
-        # update it in place so both views stay one object.
         engine.states.clear()
         engine.states.update(states)
         engine.queue.restore_state(payload["queue"])
         engine.free.restore_state(payload["free"])
         engine.pending.load(payload["pending"], states.__getitem__)
-        sched._fg_running.load(payload["fg_running"], states.__getitem__)
-        if sched._open_slots is not None:
+        engine.fg_running.load(payload["fg_running"], states.__getitem__)
+        if engine.open_slots is not None:
             # Derived state: the fresh engine's index is empty; refill it.
-            for state in sched._fg_running:
-                sched._open_slots.open(state)
-        sched._bg_dedicated.load(payload["bg_dedicated"], states.__getitem__)
-        sched._track_failures = payload["track_failures"]
+            for state in engine.fg_running:
+                engine.open_slots.open(state)
+        engine.bg_dedicated.load(payload["bg_dedicated"], states.__getitem__)
+        engine.track_failures = payload["track_failures"]
         engine.records.clear()
-        engine.records.extend(_load_record(r) for r in payload["records"])
+        engine.records.extend(load_record(r) for r in payload["records"])
         engine.clock = payload["clock"]
         engine.first_arrival = payload["first_arrival"]
         engine.last_finish = payload["last_finish"]

@@ -17,12 +17,15 @@ fixed submission log always produces the same event sequence, and a bridged
 trace replay (:mod:`repro.serve.replay`) reproduces the offline
 ``ClusterScheduler.run`` metrics bit for bit.
 
-One emission seam feeds everything: the service installs a recorder-shaped
-:class:`_ServiceEmitter` as the scheduler's ``_recorder``, so the engine's
-existing `repro.obs` emission sites simultaneously drive (a) an optional
-inner :class:`~repro.obs.trace.TraceRecorder`, (b) the async ``watch()``
-streams, and (c) tenant accounting — the trace recorder and the service
-stream can never disagree about what happened.
+One emission seam feeds everything: the service builds its engine with a
+recorder-shaped :class:`_ServiceEmitter` as that run's recorder, so the
+engine's existing `repro.obs` emission sites simultaneously drive (a) an
+optional inner :class:`~repro.obs.trace.TraceRecorder`, (b) the async
+``watch()`` streams, and (c) tenant accounting — the trace recorder and the
+service stream can never disagree about what happened.  The recorder binds
+to the service's engine only: the scheduler itself is left untouched, so
+offline ``run()`` calls (or other services) on the same scheduler never
+reach this service's streams or ledgers.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -63,10 +67,10 @@ from ..sched.failures import NodeFailure
 from ..sched.policies import SchedulingPolicy
 from ..sched.snapshot import (
     EngineSnapshot,
-    _dec_float,
-    _dump_trace_job,
-    _enc_float,
-    _load_trace_job,
+    dec_float,
+    dump_trace_job,
+    enc_float,
+    load_trace_job,
 )
 from ..sched.traces import TraceJob
 from .admission import (
@@ -266,7 +270,7 @@ class SchedulerService:
     ----------
     scheduler:
         The :class:`~repro.sched.scheduler.ClusterScheduler` to drive.  The
-        service owns the scheduler's recorder seam for its lifetime.
+        service runs one engine on it and shares only its caches.
     policy:
         Scheduling policy (name or instance), as for ``run()``.
     admission:
@@ -331,11 +335,8 @@ class SchedulerService:
         self._snapshot_keep = snapshot_keep
         self._applied_seq = 0
         self._quota_overrides: Dict[str, TenantQuota] = {}
-        # The emitter must own the recorder seam *before* the engine is
-        # built: engine construction emits begin_run through it.
         self._emitter = _ServiceEmitter(self, recorder)
-        scheduler.attach_recorder(self._emitter)
-        self._engine = SchedulerEngine(scheduler, policy)
+        self._engine = SchedulerEngine(scheduler, policy, recorder=self._emitter)
         self._engine.add_failures(failures)
         if journal_dir is not None:
             from .recovery import list_snapshots
@@ -420,7 +421,7 @@ class SchedulerService:
                 "clock": self._engine.clock,
                 "arrival": arrival,
                 "tenant": tenant_id,
-                "job": _dump_trace_job(job),
+                "job": dump_trace_job(job),
             }
         )
         account = self.account(tenant_id)
@@ -544,7 +545,7 @@ class SchedulerService:
                 "op": "set_quota",
                 "clock": self._engine.clock,
                 "tenant": tenant,
-                "gpu_seconds": _enc_float(quota.gpu_seconds),
+                "gpu_seconds": enc_float(quota.gpu_seconds),
                 "max_pending": quota.max_pending,
             }
         )
@@ -612,11 +613,11 @@ class SchedulerService:
         intent = record.intent
         self._replaying = True
         try:
-            self._advance_sync(intent["clock"])
+            self._engine.advance_to(intent["clock"])
             op = intent["op"]
             if op == "submit":
                 self._submit(
-                    _load_trace_job(intent["job"]),
+                    load_trace_job(intent["job"]),
                     intent["tenant"],
                     intent["arrival"],
                 )
@@ -628,7 +629,7 @@ class SchedulerService:
                 self._set_quota_sync(
                     intent["tenant"],
                     TenantQuota(
-                        gpu_seconds=_dec_float(intent["gpu_seconds"]),
+                        gpu_seconds=dec_float(intent["gpu_seconds"]),
                         max_pending=intent["max_pending"],
                     ),
                 )
@@ -649,7 +650,7 @@ class SchedulerService:
         """
         jobs = [
             {
-                "job": _dump_trace_job(handle.job),
+                "job": dump_trace_job(handle.job),
                 "tenant": handle.tenant,
                 "estimate": handle.estimate_gpu_seconds,
                 "service_status": handle._service_status,
@@ -664,7 +665,7 @@ class SchedulerService:
                 {
                     "name": name,
                     "quota": {
-                        "gpu_seconds": _enc_float(account.quota.gpu_seconds),
+                        "gpu_seconds": enc_float(account.quota.gpu_seconds),
                         "max_pending": account.quota.max_pending,
                     },
                     "committed": account.committed,
@@ -694,7 +695,7 @@ class SchedulerService:
             },
             "quota_overrides": {
                 tenant: {
-                    "gpu_seconds": _enc_float(quota.gpu_seconds),
+                    "gpu_seconds": enc_float(quota.gpu_seconds),
                     "max_pending": quota.max_pending,
                 }
                 for tenant, quota in sorted(self._quota_overrides.items())
@@ -710,7 +711,7 @@ class SchedulerService:
         self._engine.restore(EngineSnapshot(payload["engine"]))
         for tenant, row in payload["quota_overrides"].items():
             quota = TenantQuota(
-                gpu_seconds=_dec_float(row["gpu_seconds"]),
+                gpu_seconds=dec_float(row["gpu_seconds"]),
                 max_pending=row["max_pending"],
             )
             self._quota_overrides[tenant] = quota
@@ -719,7 +720,7 @@ class SchedulerService:
                 setter(tenant, quota)
         for row in payload["tenants"]:
             quota = TenantQuota(
-                gpu_seconds=_dec_float(row["quota"]["gpu_seconds"]),
+                gpu_seconds=dec_float(row["quota"]["gpu_seconds"]),
                 max_pending=row["quota"]["max_pending"],
             )
             account = TenantAccount(row["name"], quota)
@@ -732,7 +733,7 @@ class SchedulerService:
             )
             self._accounts[row["name"]] = account
         for row in payload["jobs"]:
-            job = _load_trace_job(row["job"])
+            job = load_trace_job(row["job"])
             handle = JobHandle(self, job, row["tenant"], row["estimate"])
             handle._service_status = row["service_status"]
             handle._finished = row["finished"]
@@ -751,7 +752,7 @@ class SchedulerService:
     def cluster_state(self) -> Dict[str, object]:
         """Cluster gauges plus per-tenant ledgers at the current clock."""
         engine = self._engine
-        gauges = self.scheduler._make_gauges(engine.pending, engine.free)()
+        gauges = engine.gauges()
         gauges["queued_jobs"] = sum(
             len(dq) for dq in self._backpressure.values()
         )
@@ -870,18 +871,14 @@ class SchedulerService:
                     break
 
     # -------------------------------------------------------------------- time
-    def _advance_sync(self, time: float) -> int:
-        """Synchronous ``advance_to`` (recovery replay runs outside asyncio)."""
-        engine = self._engine
-        steps = 0
-        while True:
-            peek = engine.queue.peek_time()
-            if peek is None or peek >= time:
-                break
-            engine.step()
-            steps += 1
-        engine.clock = max(engine.clock, time)
-        return steps
+    @staticmethod
+    async def _paced(steps: Iterator, yield_every: int) -> int:
+        """Exhaust an engine step iterator, yielding every ``yield_every`` steps."""
+        count = 0
+        for count, _ in enumerate(steps, 1):
+            if yield_every and count % yield_every == 0:
+                await asyncio.sleep(0)
+        return count
 
     async def advance_to(self, time: float, yield_every: int = 256) -> int:
         """Process every event strictly before ``time``; returns the count.
@@ -890,17 +887,7 @@ class SchedulerService:
         ``watch()`` consumers and ``wait()``-ers interleave with a long
         advance.
         """
-        engine = self._engine
-        steps = 0
-        while True:
-            peek = engine.queue.peek_time()
-            if peek is None or peek >= time:
-                break
-            engine.step()
-            steps += 1
-            if yield_every and steps % yield_every == 0:
-                await asyncio.sleep(0)
-        engine.clock = max(engine.clock, time)
+        steps = await self._paced(self._engine.iter_steps(time), yield_every)
         if steps:
             await asyncio.sleep(0)
         return steps
@@ -913,22 +900,20 @@ class SchedulerService:
         exhausted) are resolved as rejected — a drained service leaves no
         submission unresolved.
         """
+        steps = await self._paced(self._drain_steps(), yield_every)
+        self._starve_queued(self._engine.clock)
+        await asyncio.sleep(0)
+        return steps
+
+    def _drain_steps(self) -> Iterator:
         engine = self._engine
-        steps = 0
         while True:
-            while engine.queue:
-                engine.step()
-                steps += 1
-                if yield_every and steps % yield_every == 0:
-                    await asyncio.sleep(0)
+            yield from engine.iter_steps()
             # Completions pump the queues as they happen; one more pump at
             # quiescence catches holds released by trailing cancellations.
             self._pump(engine.clock)
             if not engine.queue:
-                break
-        self._starve_queued(engine.clock)
-        await asyncio.sleep(0)
-        return steps
+                return
 
     def _starve_queued(self, now: float) -> None:
         for tenant in sorted(self._backpressure):

@@ -23,12 +23,23 @@ from repro.sched import (
     GpuPool,
     GpuPoolSpec,
     NodeFailure,
+    SchedulerEngine,
     TraceJob,
     get_policy,
     inject_failures,
     synthetic_trace,
     validate_failures,
 )
+
+
+def drain_engine(sched, trace, policy, failures):
+    """Run a trace on a fresh engine and return it, free pool included."""
+    engine = SchedulerEngine(sched, policy)
+    for job in trace:
+        engine.add_job(job)
+    engine.add_failures(failures)
+    engine.drain()
+    return engine
 
 
 def mixed_fleet(a100=8, v100=8, gpus_per_host=4):
@@ -345,15 +356,15 @@ class TestFailureHandling:
             TraceJob("fg", "vgg16", 32, 0.0, 2000, max_gpus=4),
             TraceJob("bg", "vgg16", 4, 1.0, 50, JobKind.BACKGROUND),
         ]
-        sched = ClusterScheduler(fleet)
-        result = sched.run(
-            trace, "collocation", failures=[NodeFailure(5.0, 0, 10.0)]
+        engine = drain_engine(
+            ClusterScheduler(fleet), trace, "collocation", [NodeFailure(5.0, 0, 10.0)]
         )
+        result = engine.result()
         assert result.metrics.num_jobs == 2  # both still complete
         assert result.record("fg").restarts == 1
         # The pool ends the run whole: every GPU free exactly once.
-        assert sched._free.free_ids() == list(range(fleet.num_gpus))
-        assert sched._free.down_ids() == []
+        assert engine.free.free_ids() == list(range(fleet.num_gpus))
+        assert engine.free.down_ids() == []
 
     def test_rollback_after_replan_prices_lost_work_at_current_plan(self):
         # A re-plan serializes the job's state, so it re-checkpoints: a later
@@ -416,13 +427,13 @@ class TestFailureHandling:
 
     def test_failure_of_idle_host_is_harmless(self):
         trace = [TraceJob("fg", "vgg16", 32, 0.0, 100, max_gpus=2)]
-        sched = ClusterScheduler(self._fleet())
         # Host 1 (GPUs 2-3) is idle: nothing to kill, capacity dips only.
-        result = sched.run(
-            trace, "collocation", failures=[NodeFailure(1.0, 1, 5.0)]
+        engine = drain_engine(
+            ClusterScheduler(self._fleet()), trace, "collocation",
+            [NodeFailure(1.0, 1, 5.0)],
         )
-        assert result.record("fg").restarts == 0
-        assert sched._free.free_ids() == [0, 1, 2, 3]
+        assert engine.result().record("fg").restarts == 0
+        assert engine.free.free_ids() == [0, 1, 2, 3]
 
     def test_overlapping_failures_rejected_by_run(self):
         sched = ClusterScheduler(self._fleet())
@@ -488,12 +499,12 @@ class TestPropertyInvariants:
         fleet = ClusterFleet(_PERM_POOLS)
         trace = synthetic_trace(6, seed=1, models=("vgg16",))
         sched = ClusterScheduler(fleet, checkpoint=CheckpointModel(interval_s=10.0))
-        result = sched.run(
-            trace, policy, failures=[NodeFailure(fail_time, host, duration)]
+        engine = drain_engine(
+            sched, trace, policy, [NodeFailure(fail_time, host, duration)]
         )
-        assert result.metrics.num_jobs == len(trace)
-        assert sched._free.free_ids() == list(range(fleet.num_gpus))
-        assert sched._free.down_ids() == []
+        assert engine.result().metrics.num_jobs == len(trace)
+        assert engine.free.free_ids() == list(range(fleet.num_gpus))
+        assert engine.free.down_ids() == []
 
 
 class TestPolicyPoolPreference:

@@ -35,7 +35,7 @@ from repro.sched import (
     synthetic_trace,
 )
 from repro.sched.metrics import FleetMetrics, MetricsFold
-from repro.sched.snapshot import _dump_record
+from repro.sched.snapshot import dump_record
 from repro.serve.replay import result_fingerprint
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ class TestMetricsFold:
         # The serialized-row path the shard workers ship records through.
         by_row = MetricsFold()
         for record in records:
-            by_row.add_row(_dump_record(record))
+            by_row.add_row(dump_record(record))
         assert by_row.finalize(num_gpus, makespan) == expected
 
     def test_batched_fold_equals_one_shot_fold(self):

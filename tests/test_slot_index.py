@@ -6,7 +6,7 @@ running foreground job's GPUs.  These tests drive small random runs —
 homogeneous and A100+V100 fleets, node failures, re-plans, migrations and
 cancellations of running foreground jobs and collocated guests — and after
 every ``step()`` and ``cancel()`` recompute the open slots from scratch
-(``_fg_running``, ``busy_fractions``, ``hosted``) and re-run the original
+(``fg_running``, ``busy_fractions``, ``hosted``) and re-run the original
 linear scan, which lives here as the obviously-correct reference.
 """
 
@@ -63,11 +63,11 @@ def _eligible(sched, policy, busy: float) -> bool:
 
 
 def _reference_open_slots(engine):
-    """Every open eligible slot, recomputed from the scheduler's registries."""
+    """Every open eligible slot, recomputed from the engine's registries."""
     sched = engine.scheduler
     return sorted(
         (busy, fg.order, index)
-        for fg in sched._fg_running
+        for fg in engine.fg_running
         for index, busy in enumerate(fg.busy_fractions)
         if index not in fg.hosted and _eligible(sched, engine.policy, busy)
     )
@@ -79,7 +79,7 @@ def _reference_pick(engine):
     profile = sched.collocation
     min_efficiency = engine.policy.min_collocation_efficiency
     best = None
-    for fg in sched._fg_running:
+    for fg in engine.fg_running:
         for index, busy in enumerate(fg.busy_fractions):
             if index in fg.hosted:
                 continue
@@ -98,7 +98,7 @@ def _reference_pick(engine):
 
 
 def _assert_index_exact(engine):
-    index = engine.scheduler._open_slots
+    index = engine.open_slots
     slots = _reference_open_slots(engine)
     assert index.open_slots() == slots
     # One key per job with an open slot: that job's least open slot.
@@ -106,7 +106,7 @@ def _assert_index_exact(engine):
     for key in slots:
         best.setdefault(key[1], key)
     assert index._keys == sorted(best.values())
-    assert set(index._jobs) == {fg.order for fg in engine.scheduler._fg_running}
+    assert set(index._jobs) == {fg.order for fg in engine.fg_running}
     picked, expected = index.first(), _reference_pick(engine)
     if expected is None:
         assert picked is None
@@ -124,43 +124,39 @@ def _drive(fleet, seed, num_jobs, rate, failures, cancels):
     """
     sched = _scheduler(fleet)
     recorder = TraceRecorder()
-    sched.attach_recorder(recorder)
-    try:
-        engine = SchedulerEngine(sched, "collocation")
-        trace = synthetic_trace(num_jobs, seed=seed, arrival_rate=rate)
-        for job in trace:
-            engine.add_job(job)
-        if failures:
-            # Inside the busy part of the run, so failures kill running
-            # jobs and evict guests.
-            window = (1.0, 1.0 + 2.0 * trace[-1].arrival_time)
-            engine.add_failures(
-                inject_failures(
-                    sched.fleet, failures, seed=seed, window=window, mean_downtime=10.0
-                )
+    engine = SchedulerEngine(sched, "collocation", recorder=recorder)
+    trace = synthetic_trace(num_jobs, seed=seed, arrival_rate=rate)
+    for job in trace:
+        engine.add_job(job)
+    if failures:
+        # Inside the busy part of the run, so failures kill running
+        # jobs and evict guests.
+        window = (1.0, 1.0 + 2.0 * trace[-1].arrival_time)
+        engine.add_failures(
+            inject_failures(
+                sched.fleet, failures, seed=seed, window=window, mean_downtime=10.0
             )
-        due = sorted(cancels)
-        cancelled = {"fg": 0, "guest": 0}
-        steps = 0
+        )
+    due = sorted(cancels)
+    cancelled = {"fg": 0, "guest": 0}
+    steps = 0
+    _assert_index_exact(engine)
+    while engine.queue:
+        engine.step()
+        steps += 1
         _assert_index_exact(engine)
-        while engine.queue:
-            engine.step()
-            steps += 1
-            _assert_index_exact(engine)
-            while due and due[0][0] <= steps:
-                _, kind, pick = due.pop(0)
-                if kind == "fg":
-                    victims = sorted(s.name for s in sched._fg_running)
-                else:
-                    victims = sorted(
-                        s.name for s in engine.states.values() if s.collocated
-                    )
-                if victims and engine.cancel(victims[pick % len(victims)], engine.clock):
-                    cancelled[kind] += 1
-                    _assert_index_exact(engine)
-        engine.result(require_complete=False)
-    finally:
-        sched.attach_recorder(None)
+        while due and due[0][0] <= steps:
+            _, kind, pick = due.pop(0)
+            if kind == "fg":
+                victims = sorted(s.name for s in engine.fg_running)
+            else:
+                victims = sorted(
+                    s.name for s in engine.states.values() if s.collocated
+                )
+            if victims and engine.cancel(victims[pick % len(victims)], engine.clock):
+                cancelled[kind] += 1
+                _assert_index_exact(engine)
+    engine.result(require_complete=False)
     return recorder, cancelled
 
 
@@ -230,13 +226,13 @@ class TestNonCollocatingPolicies:
         engine.add_failures(inject_failures(sched.fleet, 2, seed=3))
         engine.drain()
         assert len(engine.result().records) == 12
-        assert sched._open_slots is None and not built_indexes
+        assert engine.open_slots is None and not built_indexes
 
     def test_collocating_policy_builds_one_index_per_run(self, built_indexes):
         sched = _scheduler("homogeneous")
-        for _ in range(2):
-            SchedulerEngine(sched, "collocation")
-        assert len(built_indexes) == 2 and sched._open_slots is built_indexes[-1]
+        engines = [SchedulerEngine(sched, "collocation") for _ in range(2)]
+        assert len(built_indexes) == 2
+        assert [engine.open_slots for engine in engines] == built_indexes
 
 
 class TestPlanOccupancyMemo:

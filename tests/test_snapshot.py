@@ -258,17 +258,17 @@ class TestRestoreWithGuestsInPlace:
         baseline, _ = _baseline(name)
         config = _CONFIGS[name]
         source = _load_engine(config)
-        index = source.scheduler._open_slots
+        index = source.open_slots
         cuts = 0
         while source.queue and cuts < 3:
             source.step()
-            running = list(source.scheduler._fg_running)
+            running = list(source.fg_running)
             if not any(fg.hosted for fg in running) or index.first() is None:
                 continue
             snapshot = EngineSnapshot.from_json(source.snapshot().to_json())
             target = _build_engine(config)
             target.restore(snapshot)
-            rebuilt = target.scheduler._open_slots
+            rebuilt = target.open_slots
             assert rebuilt.open_slots() == index.open_slots()
             assert rebuilt._keys == index._keys
             assert rebuilt.first()[0].name == index.first()[0].name
