@@ -83,6 +83,12 @@ _EVENT_COUNTERS = {
 }
 _STALE_EVENTS = global_registry().counter("sched.events.stale")
 _CANCELLED_JOBS = global_registry().counter("sched.events.cancel")
+# Pending-pass work: passes run, placement attempts made, jobs placed.  The
+# pass skips attempts that provably fail, so ``visited`` tracks ``placed``
+# plus a constant per pass rather than the pending queue's length.
+_PENDING_PASSES = global_registry().counter("sched.pending.passes")
+_PENDING_VISITED = global_registry().counter("sched.pending.visited")
+_PENDING_PLACED = global_registry().counter("sched.pending.placed")
 
 
 class _JobState:
@@ -915,57 +921,96 @@ class SchedulerEngine:
     def _schedule_pending(self, now: float) -> None:
         """Place pending jobs until the policy makes no further progress.
 
-        The queue is already in policy order (keys maintained on insertion),
-        so one pass costs O(pending) instead of O(pending log pending);
+        The queue is already in policy order (keys maintained on insertion);
         policies with time-varying keys declare ``dynamic_priority`` and are
         re-keyed here before each pass.  Foreground jobs try the fleet's
         pools in the policy's preference order (fastest first by default),
         falling back to slower pools when the fast ones are contended.
+
+        A pass skips every attempt that provably fails, by two fleet-wide
+        tests (:meth:`_placeable`).  A foreground job can start only if some
+        pool has a free GPU, or the policy preempts and a dedicated
+        background job is running.  A background job can start only if some
+        pool has a free GPU or a collocation slot is open.  Both are sound
+        for every policy and pool preference, because ``width_for`` never
+        grants more GPUs than are free, and a failing attempt skipped here
+        would have changed nothing.  Background placements only consume
+        capacity; only a foreground attempt (a start opens slots,
+        preemption frees GPUs) can turn a test back on.  So the pass
+        re-tests after each attempt, skips a class while its test fails, and
+        ends once both fail; a scheduling point where both fail runs no
+        pass.  The placements, and their order, are exactly a full scan's.
+        A pass makes one attempt per placement plus, under the built-in
+        policies, at most one failed attempt, at the cost of an O(pending)
+        walk of cheap skips.
         """
-        pending, free, policy = self.pending, self.free, self.policy
-        fleet = self.scheduler.fleet
+        pending, policy = self.pending, self.policy
+        strict = policy.strict_order
         while pending:
             if policy.dynamic_priority:
                 pending.resort(now)
-            order = list(pending)
-            placed = 0
+            fg_open, bg_open = self._placeable()
+            if not (fg_open or bg_open):
+                break
+            _PENDING_PASSES.add(1)
+            visited = placed = 0
             waiting_fg = pending.foreground_waiting
-            for state in order:
-                if state.is_foreground:
-                    placement: Optional[Tuple[str, int]] = None
-                    for pool_name in policy.pool_preference(state, fleet):
-                        pool_gpus = fleet.pool(pool_name).num_gpus
-                        desired = policy.desired_width(state, pool_gpus)
-                        if (
-                            policy.preempt_background
-                            and free.free_of(pool_name) < desired
-                        ):
-                            self._preempt_for(desired, pool_name, now)
-                        width = policy.width_for(
-                            state, free.free_of(pool_name), pool_gpus, waiting_fg
-                        )
-                        if width is not None:
-                            placement = (pool_name, width)
-                            break
+            for state in list(pending):
+                foreground = state.is_foreground
+                if not (fg_open if foreground else bg_open):
+                    if strict:
+                        break
+                    continue
+                visited += 1
+                if foreground:
+                    started = self._place_foreground(state, waiting_fg, now)
                     waiting_fg -= 1  # this job's share is settled either way
-                    if placement is None:
-                        if policy.strict_order:
-                            break
-                        continue
+                else:
+                    started = self._place_background(state, now)
+                if started:
                     # Placed jobs leave the queue immediately: a background
                     # job placed earlier in this pass may be preempted later
                     # in the same pass and must be free to re-enter it.
                     pending.remove(state)
-                    self._start_foreground(state, placement[1], placement[0], now)
                     placed += 1
-                else:
-                    if self._place_background(state, now):
-                        pending.remove(state)
-                        placed += 1
-                    elif policy.strict_order:
-                        break
+                elif strict:
+                    break
+                fg_open, bg_open = self._placeable()
+                if not (fg_open or bg_open):
+                    break
+            _PENDING_VISITED.add(visited)
+            _PENDING_PLACED.add(placed)
             if not placed:
                 break
+
+    def _placeable(self) -> Tuple[bool, bool]:
+        """Whether a foreground / a background job could start right now."""
+        free = bool(self.free)
+        fg_open = free or (self.policy.preempt_background and bool(self.bg_dedicated))
+        bg_open = free or (
+            self.open_slots is not None and self.open_slots.first() is not None
+        )
+        return fg_open, bg_open
+
+    def _place_foreground(self, state: _JobState, waiting_fg: int, now: float) -> bool:
+        """Start a job on the first (pool, width) the policy grants, if any.
+
+        ``waiting_fg`` counts the foreground jobs still waiting in this pass,
+        this one included (the policy's share divisor).
+        """
+        policy, free, fleet = self.policy, self.free, self.scheduler.fleet
+        for pool_name in policy.pool_preference(state, fleet):
+            pool_gpus = fleet.pool(pool_name).num_gpus
+            desired = policy.desired_width(state, pool_gpus)
+            if policy.preempt_background and free.free_of(pool_name) < desired:
+                self._preempt_for(desired, pool_name, now)
+            width = policy.width_for(
+                state, free.free_of(pool_name), pool_gpus, waiting_fg
+            )
+            if width is not None:
+                self._start_foreground(state, width, pool_name, now)
+                return True
+        return False
 
     def _preempt_for(self, desired: int, gpu_pool: str, now: float) -> None:
         """Evict the fewest dedicated background jobs that widen a placement.

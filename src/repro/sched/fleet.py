@@ -134,6 +134,11 @@ class ClusterFleet:
         ranked = sorted(self.pools, key=lambda p: (-p.gpu.peak_flops, p.name))
         return tuple(pool.name for pool in ranked)
 
+    @cached_property
+    def slowest_first(self) -> Tuple[str, ...]:
+        """:attr:`speed_order` reversed: the background fill order."""
+        return self.speed_order[::-1]
+
     # ------------------------------------------------------------ id mapping
     @cached_property
     def _by_name(self) -> Dict[str, GpuPoolSpec]:

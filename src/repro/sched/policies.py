@@ -104,10 +104,9 @@ class SchedulingPolicy(ABC):
         available for foreground work.  On a homogeneous fleet both orders
         collapse to the single pool, reproducing the pre-fleet behaviour.
         """
-        order = fleet.speed_order
         if job.is_foreground:
-            return order
-        return tuple(reversed(order))
+            return fleet.speed_order
+        return fleet.slowest_first
 
     def desired_width(self, job, num_gpus: int) -> int:
         """Power-of-two GPU width the job would use on an empty cluster."""
