@@ -89,6 +89,17 @@ _CANCELLED_JOBS = global_registry().counter("sched.events.cancel")
 _PENDING_PASSES = global_registry().counter("sched.pending.passes")
 _PENDING_VISITED = global_registry().counter("sched.pending.visited")
 _PENDING_PLACED = global_registry().counter("sched.pending.placed")
+# Expand-pass work: frontier jobs visited, and plan lookups made by the
+# widen/migrate path.  Each (job, pool, width) is priced at most once per
+# plan install, so ``priced`` tracks installs, not scheduling points.
+_EXPAND_SCANNED = global_registry().counter("sched.expand.scanned")
+_EXPAND_PRICED = global_registry().counter("sched.expand.priced")
+
+
+#: The shared ``reach`` of every job outside the expansion frontier.  Never
+#: mutated: a job gets a dict of its own when it enters the frontier, and
+#: drops it on leaving, so finished jobs hold no per-pool state.
+_NO_REACH: Dict[str, "_Reach"] = {}
 
 
 class _JobState:
@@ -117,6 +128,10 @@ class _JobState:
         self.hosted: Dict[int, "_JobState"] = {}  # local GPU index -> bg job
         #: Guests ordered by arrival order, maintained on attach/detach.
         self.guest_order = SortedJobList()
+        #: Pools where a wider or faster plan may still beat the current
+        #: one, fastest-first after the job's own pool (derived state, reset
+        #: at every plan install; see ``SchedulerEngine._expand_running``).
+        self.reach: Dict[str, "_Reach"] = _NO_REACH
         # Background placement state.
         self.host: Optional["_JobState"] = None
         self.host_index = 0
@@ -189,6 +204,40 @@ class ScheduleResult:
         raise KeyError(f"no record for job {name!r}")
 
 
+class _Reach:
+    """The widths a running foreground job has not yet priced on one pool.
+
+    The width the job could take there grows with the pool's free count
+    ``f`` as ``min(floor_pow2(base + f), top)``: ``base`` is the job's own
+    width on its own pool (a widen keeps its GPUs) and 0 on another pool (a
+    migration starts over), and ``top`` is the largest power of two under
+    the job's width cap on that pool.  ``lost`` has bit ``w`` set for each
+    power-of-two width ``w`` already priced there whose plan does not beat
+    the job's current ``base_iter_time``.  ``at`` is the free count at
+    which the reachable width first gets to the smallest width above
+    ``base`` that is not lost; at any lower count every reachable width is
+    ``base`` or below, or lost.
+    """
+
+    __slots__ = ("base", "top", "lost", "at")
+
+    def __init__(self, base: int, top: int) -> None:
+        self.base = base
+        self.top = top
+        self.lost = 0
+        self.at = 0
+
+    def settle(self) -> bool:
+        """Move ``at`` to the first unpriced width; ``False`` if none is left."""
+        width = 1 << self.base.bit_length()  # smallest power of two > base
+        while width <= self.top:
+            if not self.lost & width:
+                self.at = width - self.base
+                return True
+            width <<= 1
+        return False
+
+
 def _work_key(state: _JobState) -> Tuple[float, int]:
     """Most-remaining-work-first ordering (preemption/re-plan registries)."""
     return (-state.remaining_gpu_seconds, state.order)
@@ -231,6 +280,10 @@ class SchedulerEngine:
         #: work first (the preemption and re-plan scan order).
         self.fg_running = SortedJobList()
         self.bg_dedicated = SortedJobList()
+        #: The running foreground jobs that may still improve (non-empty
+        #: ``reach``), in ``fg_running`` order; only re-planning policies
+        #: fill it.
+        self.frontier = SortedJobList()
         #: Open collocation slots; ``None`` under policies that never collocate.
         self.open_slots: Optional[OpenSlotIndex] = (
             OpenSlotIndex(
@@ -542,7 +595,10 @@ class SchedulerEngine:
             state.allocated_gpu_seconds += now - start
         # The job's remaining work moved: keep its registry position honest.
         if state in self.fg_running:
-            self.fg_running.rekey(state, _work_key(state))
+            key = _work_key(state)
+            self.fg_running.rekey(state, key)
+            if state in self.frontier:
+                self.frontier.rekey(state, key)
         elif state in self.bg_dedicated:
             self.bg_dedicated.rekey(state, _work_key(state))
 
@@ -639,19 +695,23 @@ class SchedulerEngine:
 
     def _return_gpus(self, state: _JobState, now: float) -> None:
         """Return a job's GPUs to the free pool (its ids stay on the state)."""
-        self.free.release(state.gpu_ids)
+        pool = state.gpu_type
+        assert pool is not None
+        self.free.release(pool, state.gpu_ids)
         if self._recorder is not None:
-            pool = state.gpu_type or ""
             self._recorder.emit(
                 now, EV_GPU_FREE, job=state.name, pool=pool,
                 gpus=tuple(state.gpu_ids), free_gpus=self.free.free_of(pool),
             )
 
-    def _install_plan(self, state: _JobState, plan: TrainingPlan) -> None:
-        """Bind a burst-parallel plan and its per-GPU occupancy to a job.
+    def _install_plan(self, state: _JobState, plan: TrainingPlan, gpu_pool: str) -> None:
+        """Bind a burst-parallel plan on a pool, and its per-GPU occupancy, to a job.
 
         Every install of the same plan object shares one ``busy_fractions``
-        list (the scheduler's occupancy memo), read-only from then on.
+        list (the scheduler's occupancy memo), read-only from then on.  This
+        is the only place a running foreground job's width, pool and
+        iteration time change, so it also resets what the expand pass
+        priced for the job (:meth:`_reset_reach`).
         """
         busy_fractions, work_per_iteration = self.scheduler._occupancy_of(plan)
         state.busy_fractions = busy_fractions
@@ -659,13 +719,42 @@ class SchedulerEngine:
         state.base_iter_time = plan.iteration_time
         state.work_per_iteration = work_per_iteration
         state.width = plan.total_gpus
+        state.gpu_type = gpu_pool
+        self._reset_reach(state)
+
+    def _reset_reach(self, state: _JobState) -> None:
+        """Forget the widths priced for a job; re-file it in the frontier.
+
+        A no-op under policies that never re-plan running jobs.
+        """
+        if not self.policy.replan_running:
+            return
+        fleet, own = self.scheduler.fleet, state.gpu_type
+        pools = [own]
+        if self.policy.replan_across_types:
+            pools.extend(name for name in fleet.speed_order if name != own)
+        reaches = {}
+        for pool_name in pools:
+            top = floor_pow2(width_cap(state, fleet.pool(pool_name).num_gpus))
+            reach = _Reach(state.width if pool_name == own else 0, top)
+            if reach.settle():
+                reaches[pool_name] = reach
+        self._leave_frontier(state)
+        if reaches:
+            state.reach = reaches
+            self.frontier.add(state, _work_key(state))
+
+    def _leave_frontier(self, state: _JobState) -> None:
+        """Drop a job from the frontier, if there, with its priced widths."""
+        self.frontier.discard(state)
+        state.reach = _NO_REACH
 
     def _start_foreground(
         self, state: _JobState, width: int, gpu_pool: str, now: float
     ) -> None:
-        self._install_plan(state, self.scheduler._plan_for(state.trace, width, gpu_pool))
+        plan = self.scheduler._plan_for(state.trace, width, gpu_pool)
         state.gpu_ids = self._take_gpus(state, gpu_pool, width, now)
-        state.gpu_type = gpu_pool
+        self._install_plan(state, plan, gpu_pool)
         state.hosted = {}
         state.guest_order = SortedJobList()
         if self.open_slots is not None:
@@ -838,6 +927,7 @@ class SchedulerEngine:
                 guest_died = bool(guest.gpu_ids) and guest.gpu_ids[0] in down
                 self._detach_background(guest, now, rollback=guest_died)
             self.fg_running.remove(state)
+            self._leave_frontier(state)
             self._fail_running(state, now)
         affected_bg = [
             s for s in list(self.bg_dedicated) if not down.isdisjoint(s.gpu_ids)
@@ -861,6 +951,7 @@ class SchedulerEngine:
         gpus = tuple(state.gpu_ids)
         if state.is_foreground:
             self.fg_running.remove(state)
+            self._leave_frontier(state)
             if self.open_slots is not None:
                 self.open_slots.close(state)
         elif not state.collocated:
@@ -1003,7 +1094,7 @@ class SchedulerEngine:
             pool_gpus = fleet.pool(pool_name).num_gpus
             desired = policy.desired_width(state, pool_gpus)
             if policy.preempt_background and free.free_of(pool_name) < desired:
-                self._preempt_for(desired, pool_name, now)
+                self._preempt_for(state, desired, pool_name, waiting_fg, now)
             width = policy.width_for(
                 state, free.free_of(pool_name), pool_gpus, waiting_fg
             )
@@ -1012,7 +1103,9 @@ class SchedulerEngine:
                 return True
         return False
 
-    def _preempt_for(self, desired: int, gpu_pool: str, now: float) -> None:
+    def _preempt_for(
+        self, state: _JobState, desired: int, gpu_pool: str, waiting_fg: int, now: float
+    ) -> None:
         """Evict the fewest dedicated background jobs that widen a placement.
 
         Widths are powers of two, so eviction only helps when it lifts
@@ -1021,7 +1114,9 @@ class SchedulerEngine:
         two) only churns background jobs without changing the foreground
         placement.  Only victims running *on the contended pool* are
         considered — evicting a background job from another pool frees the
-        wrong kind of GPU.
+        wrong kind of GPU.  Nothing is evicted when the policy would refuse
+        to start ``state`` at the attainable free count: the victims would
+        only be re-placed by the next pass and evicted again, forever.
 
         The victim registry is maintained most-remaining-work-first, so the
         eviction order needs no sort.
@@ -1031,6 +1126,9 @@ class SchedulerEngine:
         attainable = min(desired, floor_pow2(free_gpus + len(victims)))
         needed = attainable - free_gpus
         if attainable <= floor_pow2(free_gpus) or needed <= 0:
+            return
+        pool_gpus = self.scheduler.fleet.pool(gpu_pool).num_gpus
+        if self.policy.width_for(state, attainable, pool_gpus, waiting_fg) is None:
             return
         for victim in victims[:needed]:
             self._preempt_background(victim, now)
@@ -1059,77 +1157,105 @@ class SchedulerEngine:
     def _expand_running(self, now: float) -> None:
         """Re-plan running foreground jobs onto freed GPUs (widest win first).
 
-        ``fg_running`` is maintained most-remaining-work-first, so scanning
-        it in order and taking the first improvable job reproduces the old
-        sort-then-pick without re-sorting per freed GPU.  A job first tries
-        to widen within its own pool; when the policy allows
-        ``replan_across_types`` (and the job hosts no guests, whose GPU
-        slots a migration would destroy), it may instead migrate to another
-        pool whose plan strictly beats its current iteration time.  Every
-        action strictly lowers some job's iteration time over a finite set
-        of (pool, width) plans, so the loop terminates.
-        """
-        sched, free = self.scheduler, self.free
-        while free:
-            expanded = False
-            for state in list(self.fg_running):
-                own = state.gpu_type
-                assert own is not None
-                own_gpus = sched.fleet.pool(own).num_gpus
-                cap = width_cap(state, own_gpus)
-                if state.width < cap:
-                    new_width = min(
-                        floor_pow2(state.width + free.free_of(own)), floor_pow2(cap)
-                    )
-                    if new_width > state.width:
-                        plan = sched._plan_for(state.trace, new_width, own)
-                        if plan.iteration_time < state.base_iter_time:
-                            self._replan(state, plan, new_width, now)
-                            expanded = True
-                            break
-                if self.policy.replan_across_types and not state.hosted:
-                    if self._try_migrate(state, now):
-                        expanded = True
-                        break
-            if not expanded:
-                return
+        A job first tries to widen within its own pool; when the policy
+        allows ``replan_across_types`` (and the job hosts no guests, whose
+        GPU slots a migration would destroy), it may instead migrate to
+        another pool, fastest first, whose plan strictly beats its current
+        iteration time.  The first improvable job in most-remaining-work
+        order acts, then the scan restarts.  Every action strictly lowers
+        some job's iteration time over a finite set of (pool, width) plans,
+        so the loop terminates.
 
-    def _try_migrate(self, state: _JobState, now: float) -> bool:
-        """Move a job to another pool when that strictly beats its plan."""
-        sched, free = self.scheduler, self.free
-        for pool_name in sched.fleet.speed_order:
-            if pool_name == state.gpu_type:
+        The width a job can reach on a pool is a nondecreasing function of
+        that pool's free count (see :class:`_Reach`), and a plan that does
+        not beat the job's ``base_iter_time`` never will until the job's
+        next install.  So each (pool, width) is priced at most once per
+        install: a losing width is remembered in the pool's ``lost`` mask,
+        and the pool is looked at again only once its free count reaches
+        ``at``, the first count whose reachable width is not yet lost.
+        Below ``at`` every reachable width is no wider than the job's own or
+        already lost, so a full rescan would price nothing new there.  A pool with no
+        unpriced width left leaves the job's ``reach``, and a job with an
+        empty ``reach`` leaves :attr:`frontier`, to re-enter only at its next
+        install (:meth:`_install_plan`).
+
+        The scan therefore walks :attr:`frontier` instead of ``fg_running``.
+        Both are keyed by :func:`_work_key`, whose last element is the
+        unique arrival ``order``, so the frontier lists its jobs in exactly
+        ``fg_running``'s order, and the job that acts is the one a full scan
+        would pick: every job it skips could not have acted.  An empty
+        frontier ends the pass at once.
+        """
+        frontier, free = self.frontier, self.free
+        scanned = 0
+        while free and frontier:
+            for state in list(frontier):
+                scanned += 1
+                found = self._improvement(state)
+                if found is None:
+                    continue
+                pool_name, width, plan = found
+                if pool_name == state.gpu_type:
+                    self._replan(state, plan, width, now)
+                else:
+                    self._migrate(state, plan, pool_name, width, now)
+                break
+            else:
+                break
+        _EXPAND_SCANNED.add(scanned)
+
+    def _improvement(self, state: _JobState) -> Optional[Tuple[str, int, TrainingPlan]]:
+        """The first (pool, width, plan) that beats the job's plan right now.
+
+        Pools are tried in ``reach`` order: the job's own pool (widen),
+        then the others fastest-first (migrate, only while the job hosts
+        no guests).  Losing prices are remembered; a job left with nothing
+        to price leaves the frontier.
+        """
+        own = state.gpu_type
+        for pool_name, reach in list(state.reach.items()):
+            if pool_name != own and state.hosted:
+                break  # only migrations are left, and guests pin the job
+            free_gpus = self.free.free_of(pool_name)
+            if free_gpus < reach.at:
                 continue
-            pool_gpus = sched.fleet.pool(pool_name).num_gpus
-            cap = width_cap(state, pool_gpus)
-            width = min(floor_pow2(free.free_of(pool_name)), floor_pow2(cap))
-            if width < 1:
+            width = min(floor_pow2(reach.base + free_gpus), reach.top)
+            if reach.lost & width:
                 continue
-            plan = sched._plan_for(state.trace, width, pool_name)
-            if plan.iteration_time >= state.base_iter_time:
-                continue
-            self._advance(state, now)
-            self._return_gpus(state, now)
-            old_pool = state.gpu_type
-            state.gpu_ids = self._take_gpus(state, pool_name, width, now)
-            state.gpu_type = pool_name
-            self._install_plan(state, plan)
-            if self.open_slots is not None:
-                self.open_slots.open(state)
-            if self._recorder is not None:
-                self._recorder.emit(
-                    now, EV_MIGRATION, job=state.name, pool=pool_name,
-                    gpus=tuple(state.gpu_ids), width=width, detail=f"from:{old_pool}",
-                )
-            if self.track_failures:
-                # Migration serializes the job's state: checkpoint here so a
-                # rollback never prices old iterations at the new plan's
-                # per-iteration cost.
-                self._snapshot_checkpoint(state, max(now, state.penalty_until))
-            state.replans += 1
-            self._reschedule_finish(state, now)
-            return True
-        return False
+            _EXPAND_PRICED.add(1)
+            plan = self.scheduler._plan_for(state.trace, width, pool_name)
+            if plan.iteration_time < state.base_iter_time:
+                return pool_name, width, plan
+            reach.lost |= width
+            if not reach.settle():
+                del state.reach[pool_name]
+        if not state.reach:
+            self._leave_frontier(state)
+        return None
+
+    def _migrate(
+        self, state: _JobState, plan: TrainingPlan, gpu_pool: str, width: int, now: float
+    ) -> None:
+        """Move a running foreground job to a plan on another pool."""
+        self._advance(state, now)
+        self._return_gpus(state, now)
+        old_pool = state.gpu_type
+        state.gpu_ids = self._take_gpus(state, gpu_pool, width, now)
+        self._install_plan(state, plan, gpu_pool)
+        if self.open_slots is not None:
+            self.open_slots.open(state)
+        if self._recorder is not None:
+            self._recorder.emit(
+                now, EV_MIGRATION, job=state.name, pool=gpu_pool,
+                gpus=tuple(state.gpu_ids), width=width, detail=f"from:{old_pool}",
+            )
+        if self.track_failures:
+            # Migration serializes the job's state: checkpoint here so a
+            # rollback never prices old iterations at the new plan's
+            # per-iteration cost.
+            self._snapshot_checkpoint(state, max(now, state.penalty_until))
+        state.replans += 1
+        self._reschedule_finish(state, now)
 
     def _replan(
         self, state: _JobState, plan: TrainingPlan, new_width: int, now: float
@@ -1141,7 +1267,7 @@ class SchedulerEngine:
         state.gpu_ids = state.gpu_ids + self._take_gpus(
             state, state.gpu_type, new_width - old_width, now
         )
-        self._install_plan(state, plan)
+        self._install_plan(state, plan, state.gpu_type)
         if self.open_slots is not None:
             self.open_slots.open(state)
         if self._recorder is not None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..profiler.gpu_spec import A100_40GB, GPUSpec
 from .events import GpuPool
@@ -238,25 +238,19 @@ class FleetPool:
         """Remove and return the ``count`` lowest free GPU ids of one pool."""
         return self._free[pool_name].take(count)
 
-    def release(self, gpu_ids: Iterable[int]) -> None:
-        """Return GPUs to their pools (GPUs on a down host stay down).
+    def release(self, pool_name: str, gpu_ids: Sequence[int]) -> None:
+        """Return GPUs of one pool to it (GPUs on a down host stay down).
 
-        Ids are grouped by pool with a range check against the pool's id
-        block, and each pool gets one :meth:`GpuPool.release` call.
+        A job's GPUs all lie in the pool it was placed on, so the caller
+        names the pool and the ids need no per-id lookup; they are only
+        filtered against the down set while some host is down.  The pool
+        gets one :meth:`GpuPool.release` call, or none when every id is
+        absorbed.
         """
-        batches: Dict[str, List[int]] = {}
-        batch: List[int] = []
-        block = range(0)
-        for gpu_id in gpu_ids:
-            if gpu_id in self._down:
-                continue  # absorbed until the host recovers
-            if gpu_id not in block:
-                name = self._fleet.pool_of_gpu(gpu_id)
-                block = self._fleet.gpu_ids_of_pool(name)
-                batch = batches.setdefault(name, [])
-            batch.append(gpu_id)
-        for name, batch in batches.items():
-            self._free[name].release(batch)
+        if self._down:
+            gpu_ids = [g for g in gpu_ids if g not in self._down]
+        if gpu_ids:
+            self._free[pool_name].release(gpu_ids)
 
     def fail_host(self, host_id: int) -> Tuple[int, ...]:
         """Mark a host down; its free GPUs leave the pool immediately.

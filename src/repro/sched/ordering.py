@@ -74,6 +74,11 @@ class SortedJobList:
         del self._keys[index]
         del self._items[index]
 
+    def discard(self, item) -> None:
+        """Remove an item if it is present."""
+        if item.name in self._key_of:
+            self.remove(item)
+
     def rekey(self, item, key: Tuple) -> None:
         """Move an item to the position its new key dictates."""
         self.remove(item)

@@ -19,8 +19,11 @@ Two deliberate non-goals keep the format small and honest:
   ``width``) is serialized directly — so the restored state carries
   ``plan=None`` and behaves identically.
 * Derived caches (plan cache, graph cache, iso-time cache, plan
-  occupancy) and the open-collocation-slot index are not captured.  The
-  index is rebuilt from the restored running foreground jobs.  The caches
+  occupancy), the open-collocation-slot index and the expansion frontier
+  with its per-job priced widths are not captured.  The index and the
+  frontier are rebuilt from the restored running foreground jobs, with
+  nothing priced yet (the expand pass re-prices on demand and makes the
+  same decisions).  The caches
   are pure functions of the scheduler's configuration; the restored run
   recomputes them on demand, and the snapshot *verifies* it is being
   applied under the same configuration by recomputing each job's
@@ -332,10 +335,12 @@ class EngineSnapshot:
         engine.free.restore_state(payload["free"])
         engine.pending.load(payload["pending"], states.__getitem__)
         engine.fg_running.load(payload["fg_running"], states.__getitem__)
-        if engine.open_slots is not None:
-            # Derived state: the fresh engine's index is empty; refill it.
-            for state in engine.fg_running:
+        for state in engine.fg_running:
+            # Derived state: the fresh engine's slot index and expansion
+            # frontier are empty; refill them (nothing priced yet).
+            if engine.open_slots is not None:
                 engine.open_slots.open(state)
+            engine._reset_reach(state)
         engine.bg_dedicated.load(payload["bg_dedicated"], states.__getitem__)
         engine.track_failures = payload["track_failures"]
         engine.records.clear()

@@ -23,8 +23,15 @@ import test_sched_xl
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.job import JobKind
 from repro.obs.metrics import global_registry
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import (
+    EV_GPU_FREE,
+    EV_GPU_GRANT,
+    EV_PLACEMENT,
+    EV_PREEMPTION,
+    TraceRecorder,
+)
 from repro.profiler.gpu_spec import A100_40GB, V100_32GB
 from repro.sched import (
     CheckpointModel,
@@ -34,6 +41,7 @@ from repro.sched import (
     GpuPoolSpec,
     SchedulerEngine,
     ShortestRemainingGPUSecondsPolicy,
+    TraceJob,
     inject_failures,
     synthetic_trace,
 )
@@ -63,7 +71,9 @@ class _ReferenceEngine(SchedulerEngine):
                             policy.preempt_background
                             and free.free_of(pool_name) < desired
                         ):
-                            self._preempt_for(desired, pool_name, now)
+                            self._preempt_for(
+                                state, desired, pool_name, waiting_fg, now
+                            )
                         width = policy.width_for(
                             state, free.free_of(pool_name), pool_gpus, waiting_fg
                         )
@@ -115,6 +125,18 @@ class _FullWidthBackfill(SchedulingPolicy):
         return desired if free_gpus >= desired else None
 
 
+class _PreemptingFullWidth(_FullWidthBackfill):
+    """Full-width placements that may evict dedicated background jobs.
+
+    Eviction can lift the free count to a power of two below the job's
+    full width, which ``width_for`` then refuses: preempting for it would
+    place nothing.
+    """
+
+    name = "full-width+preempt"
+    preempt_background = True
+
+
 class _InterleavedCollocation(CollocationAwarePolicy):
     """The collocation policy without its foreground-first ordering.
 
@@ -136,6 +158,7 @@ _POLICIES = {
     "srgs+preempt": test_sched_xl.TestSamePassPreemption._PreemptingSRGS,
     "srgs+aging": _AgingSRGS,
     "full-width": _FullWidthBackfill,
+    "full-width+preempt": _PreemptingFullWidth,
     "collocation+interleaved": _InterleavedCollocation,
 }
 
@@ -265,3 +288,62 @@ class TestPendingWork:
         assert placed >= len(trace)
         # At most two failed attempts per pass, plus one per placement.
         assert visited <= 2 * (placed + passes)
+
+
+class _BoundedPreemptions(SchedulerEngine):
+    """Fails instead of spinning when preemptions outrun a bound."""
+
+    limit = 50
+
+    def _preempt_background(self, state, now):
+        self.limit -= 1
+        if self.limit < 0:
+            raise AssertionError("preemption livelock: the pass never settles")
+        super()._preempt_background(state, now)
+
+
+class TestPreemptOnlyForAcceptedWidth:
+    """A policy that preempts and then refuses the width must not livelock."""
+
+    def _trace(self):
+        # ``hold`` keeps 2 of 8 GPUs busy, five background jobs take 5 more,
+        # then ``wide`` wants all 8.  Evicting 3 victims lifts the free
+        # count to 4, which a full-width policy refuses; the victims sort
+        # ahead of ``wide`` and would be re-placed and evicted again.
+        bg = [
+            TraceJob(
+                f"bg{i}", "resnet50", 32, 0.1 + 0.01 * i, iterations=5000,
+                kind=JobKind.BACKGROUND,
+            )
+            for i in range(5)
+        ]
+        return [
+            TraceJob("hold", "vgg16", 32, 0.0, iterations=400, max_gpus=2),
+            *bg,
+            TraceJob("wide", "vgg16", 32, 1.0, iterations=200),
+        ]
+
+    def test_terminates_and_preempts_only_for_a_placement(self):
+        recorder = TraceRecorder()
+        engine = _BoundedPreemptions(
+            ClusterScheduler(8), _PreemptingFullWidth(), recorder=recorder
+        )
+        for job in self._trace():
+            engine.add_job(job)
+        engine.drain()
+        result = engine.result()
+        assert result.record("wide").width == 8
+        events = recorder.events
+        preempted = [e for e in events if e.kind == EV_PREEMPTION]
+        assert preempted  # ``wide`` does evict, once its full width is attainable
+        # Every eviction run ends in a foreground placement at the same time.
+        owed = None
+        for event in events:
+            if event.kind == EV_PREEMPTION:
+                owed = owed or event
+            elif event.kind == EV_PLACEMENT and event.detail == "foreground":
+                owed = None
+            elif owed is not None:
+                assert event.kind in (EV_GPU_FREE, EV_GPU_GRANT), (owed, event)
+                assert event.time == owed.time
+        assert owed is None

@@ -127,7 +127,7 @@ class TestFleetPool:
         assert taken == [4, 5]  # v100 ids start after the a100 block
         assert pool.free_of("v100") == 2
         assert pool.free_of("a100") == 4
-        pool.release(taken)
+        pool.release("v100", taken)
         assert pool.free_ids() == list(range(8))
 
     def test_fail_and_recover_host(self):
@@ -139,7 +139,7 @@ class TestFleetPool:
         assert pool.free_of("a100") == 0
         assert pool.down_ids() == [0, 1, 2, 3]
         # The evicted job's GPUs are absorbed, not double-freed.
-        pool.release(busy)
+        pool.release("a100", busy)
         assert pool.free_of("a100") == 0
         with pytest.raises(ValueError):
             pool.fail_host(0)
