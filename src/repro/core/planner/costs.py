@@ -11,15 +11,22 @@ The planner (paper Section 4.1) consumes three cost functions:
 :class:`PlannerCostModel` provides all three on top of the profiler and
 network substrates, with memoization (the planner evaluates each layer at
 every candidate GPU count many times during the dynamic program).
+
+The memos are keyed by a layer's *cost shape*, not its id: the layer's
+:class:`~repro.models.graph.LayerSpec` with the name cleared, interned to a
+small int per cost model.  The profiler, the collectives model and the
+redistribution model read nothing else of a layer, so two layers with the
+same cost shape have identical costs at every width, and each distinct shape
+is priced once (ResNet-101's 346 layers have 56 cost shapes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ...cache import fabric_fingerprint, fingerprint, graph_fingerprint
-from ...models.graph import ModelGraph
+from ...models.graph import LayerSpec, ModelGraph
 from ...network.collectives import CollectiveCostModel
 from ...network.fabric import NetworkFabric
 from ...network.transfer import RedistributionCostModel
@@ -81,6 +88,13 @@ class PlannerCostModel:
             raise ValueError("global_batch must be at least 1")
         self.collectives = CollectiveCostModel(self.fabric)
         self.redistribution = RedistributionCostModel(self.fabric)
+        # Layer id -> cost shape, and per shape the spec the models price:
+        # the first layer's, so the profiler's memo and persistent-cache
+        # keys stay those of a real layer.
+        self._layer_shapes: Dict[int, int] = {}
+        self._shape_ids: Dict[Hashable, int] = {}
+        self._shape_specs: List[LayerSpec] = []
+        # Memos keyed by (cost shape, widths).
         self._comp_cache: Dict[Tuple[int, int], float] = {}
         self._sync_cache: Dict[Tuple[int, int], float] = {}
         self._comm_cache: Dict[Tuple[int, int, int], float] = {}
@@ -108,25 +122,44 @@ class PlannerCostModel:
             self._fingerprint = (version, digest)
         return self._fingerprint[1]
 
+    # ------------------------------------------------------------ cost shapes
+    def _shape_key(self, layer_id: int) -> Hashable:
+        """What a layer's costs depend on: its spec without the name."""
+        return replace(self.graph.spec(layer_id), name="")
+
+    def cost_shape(self, layer_id: int) -> int:
+        """The layer's interned cost shape; equal shapes have equal costs."""
+        shape = self._layer_shapes.get(layer_id)
+        if shape is None:
+            key = self._shape_key(layer_id)
+            shape = self._shape_ids.get(key)
+            if shape is None:
+                shape = self._shape_ids[key] = len(self._shape_specs)
+                self._shape_specs.append(self.graph.spec(layer_id))
+            self._layer_shapes[layer_id] = shape
+        return shape
+
     # --------------------------------------------------------------- comp/sync
     def comp(self, layer_id: int, num_gpus: int) -> float:
         """``comp(i, g)``: fwd+bwd compute time of the layer on ``g`` GPUs."""
-        key = (layer_id, num_gpus)
-        if key not in self._comp_cache:
-            spec = self.graph.spec(layer_id)
-            batch = per_gpu_batch(self.global_batch, num_gpus)
-            self._comp_cache[key] = self.profiler.layer_timing(spec, batch).total_time
-        return self._comp_cache[key]
+        key = (self.cost_shape(layer_id), num_gpus)
+        cached = self._comp_cache.get(key)
+        if cached is None:
+            timing = self.profiler.layer_timing(
+                self._shape_specs[key[0]], per_gpu_batch(self.global_batch, num_gpus)
+            )
+            cached = self._comp_cache[key] = timing.total_time
+        return cached
 
     def sync(self, layer_id: int, num_gpus: int) -> float:
         """``sync(i, g)``: gradient all-reduce time for the layer's parameters."""
-        key = (layer_id, num_gpus)
-        if key not in self._sync_cache:
-            spec = self.graph.spec(layer_id)
-            self._sync_cache[key] = self.collectives.gradient_sync_time(
-                spec.params, num_gpus, self.dtype_bytes
+        key = (self.cost_shape(layer_id), num_gpus)
+        cached = self._sync_cache.get(key)
+        if cached is None:
+            cached = self._sync_cache[key] = self.collectives.gradient_sync_time(
+                self._shape_specs[key[0]].params, num_gpus, self.dtype_bytes
             )
-        return self._sync_cache[key]
+        return cached
 
     def node_cost(self, layer_id: int, num_gpus: int) -> float:
         """Compute plus gradient-sync time of a layer at a GPU count."""
@@ -141,13 +174,12 @@ class PlannerCostModel:
     def comm(self, src_layer: int, src_gpus: int, dst_layer: int, dst_gpus: int) -> float:
         """``comm(i, g) -> (j, h)``: redistribution cost between two layers."""
         del dst_layer  # cost depends only on the producer's activation volume
-        key = (src_layer, src_gpus, dst_gpus)
+        key = (self.cost_shape(src_layer), src_gpus, dst_gpus)
         cached = self._comm_cache.get(key)
         if cached is None:
-            cached = self.redistribution.transition_time(
+            cached = self._comm_cache[key] = self.redistribution.transition_time(
                 self.activation_bytes(src_layer), src_gpus, dst_gpus
             )
-            self._comm_cache[key] = cached
         return cached
 
     # ------------------------------------------------------------------- amp

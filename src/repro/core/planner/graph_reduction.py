@@ -28,12 +28,20 @@ Implementation outline
   ``h``; layer assignments are built only for the blocks in the plan.
 * Nested branch/join structures (such as the split 1x3 / 3x1 tails inside
   InceptionE) become blocks inside a branch's chain.
+* Blocks with the same *signature* share one ``(g, h)`` table per search.
+  The signature is the branching and joining layers' cost shapes, the
+  identity flag and, per branch, the cost shapes and nested block
+  signatures of its chain: everything a block's transition cost reads.  So
+  the table's entries are exact for every block that shares it, and each
+  distinct block (ResNet-101 has 8 among its 33) is relaxed once per plan.
+  A table entry names branches by index, and each block builds its layer
+  assignments from its own branches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ...models.graph import BranchBlock, ChainElement, ModelGraph
 from .costs import PlannerCostModel
@@ -95,14 +103,15 @@ class _BranchOutcome:
     """One branch's best path for a fixed (branch-layer, join-layer) pair.
 
     Layer assignments are only built from the path's decisions if the block
-    ends up in the plan.
+    ends up in the plan.  The outcome names its branch by index, so blocks
+    that share a table each rebuild the assignments from their own layers.
     """
 
     time: float
     max_gpus: int
-    #: The branch's chain nodes and backtraced decisions; none for the
-    #: identity branch.
-    nodes: List[object] = field(default_factory=list)
+    #: Index into the block's branches, and the branch's backtraced
+    #: decisions; the identity branch has neither.
+    branch: Optional[int] = None
     decisions: List[NodeDecision] = field(default_factory=list)
 
 
@@ -128,13 +137,15 @@ class BlockNode:
     candidates: Sequence[int]
     total_gpus: int
     amp_limit: float
+    #: (g, h) -> schedule, shared by every block with the same signature in
+    #: one search.
+    table: Dict[Tuple[int, int], _Schedule] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         spec = self.costs.graph.spec(self.join_layer_id)
         self.exit_layer_id = self.join_layer_id
         self._name = spec.name
         self._op = spec.op
-        self._cache: Dict[Tuple[int, int], _Schedule] = {}
 
     # --------------------------------------------------------------- protocol
     def candidate_gpus(self) -> Sequence[int]:
@@ -173,9 +184,9 @@ class BlockNode:
     def _schedule(self, branch_gpus: int, join_gpus: int) -> _Schedule:
         """Block time for one (g, h) pair; ``h`` is one of the candidate widths."""
         key = (branch_gpus, join_gpus)
-        if key not in self._cache:
+        if key not in self.table:
             self._solve_entry_width(branch_gpus)
-        return self._cache[key]
+        return self.table[key]
 
     def _solve_entry_width(self, branch_gpus: int) -> None:
         """Solve the block from one branch-layer width to every join width.
@@ -199,7 +210,7 @@ class BlockNode:
         for join_gpus in self.candidates:
             sink = _JoinSinkNode(self.costs, self.join_layer_id, join_gpus)
             outcomes = []
-            for index, (nodes, rows) in enumerate(zip(self.branches, branch_rows)):
+            for index, rows in enumerate(branch_rows):
                 tail = rows.then([sink], self.amp_limit)
                 last_gpus = tail.parent[0][join_gpus]
                 decisions = paths.get((index, last_gpus))
@@ -209,7 +220,7 @@ class BlockNode:
                     _BranchOutcome(
                         time=tail.s[0][join_gpus],
                         max_gpus=max(d.num_gpus for d in decisions),
-                        nodes=nodes,
+                        branch=index,
                         decisions=decisions,
                     )
                 )
@@ -220,7 +231,7 @@ class BlockNode:
                     self.branch_layer_id, branch_gpus, self.join_layer_id, join_gpus
                 )
                 outcomes.append(_BranchOutcome(time=time, max_gpus=0))
-            self._cache[branch_gpus, join_gpus] = self._compose(outcomes)
+            self.table[branch_gpus, join_gpus] = self._compose(outcomes)
 
     def _compose(self, outcomes: List[_BranchOutcome]) -> _Schedule:
         """Block time of the branch outcomes, each flagged if run in parallel.
@@ -252,7 +263,10 @@ class BlockNode:
         block_time, schedule = self._schedule(branch_gpus, join_gpus)
         assignments: List[LayerAssignment] = []
         for outcome, runs_parallel in schedule:
-            for a in chain_assignments(outcome.nodes, outcome.decisions, branch_gpus):
+            if outcome.branch is None:
+                continue
+            nodes = self.branches[outcome.branch]
+            for a in chain_assignments(nodes, outcome.decisions, branch_gpus):
                 assignments.append(replace(a, parallel_branch=True) if runs_parallel else a)
         return block_time, assignments
 
@@ -297,28 +311,45 @@ def _chain_nodes(
     candidates: Sequence[int],
     total_gpus: int,
     amp_limit: float,
-) -> List[object]:
+    tables: Dict[Hashable, Dict[Tuple[int, int], _Schedule]],
+) -> Tuple[List[object], Tuple[Hashable, ...]]:
+    """The chain's planner nodes and its signature (one entry per element).
+
+    A layer's entry is its cost shape and a block's is its own signature,
+    under which it finds the table it shares with every identical block.
+    """
     nodes: List[object] = []
+    signature: List[Hashable] = []
     for element in chain:
         if not isinstance(element, BranchBlock):
             nodes.append(LayerNode(costs, element, candidates))
+            signature.append(costs.cost_shape(element))
             continue
+        branches = [
+            _chain_nodes(branch, costs, candidates, total_gpus, amp_limit, tables)
+            for branch in element.branches
+        ]
+        block_signature = (
+            costs.cost_shape(element.branch_layer),
+            costs.cost_shape(element.join_layer),
+            element.has_identity_branch,
+            tuple(branch_signature for _, branch_signature in branches),
+        )
         nodes.append(
             BlockNode(
                 costs=costs,
                 branch_layer_id=element.branch_layer,
                 join_layer_id=element.join_layer,
-                branches=[
-                    _chain_nodes(branch, costs, candidates, total_gpus, amp_limit)
-                    for branch in element.branches
-                ],
+                branches=[branch_nodes for branch_nodes, _ in branches],
                 has_identity_branch=element.has_identity_branch,
                 candidates=candidates,
                 total_gpus=total_gpus,
                 amp_limit=amp_limit,
+                table=tables.setdefault(block_signature, {}),
             )
         )
-    return nodes
+        signature.append(block_signature)
+    return nodes, tuple(signature)
 
 
 def build_chain_nodes(
@@ -332,8 +363,12 @@ def build_chain_nodes(
 
     For chain models (VGG) this is simply one :class:`LayerNode` per layer;
     for branching models each branch/join region becomes a
-    :class:`BlockNode`.  The structure comes from the graph's memoized
+    :class:`BlockNode`, and blocks with the same signature share one table.
+    The structure comes from the graph's memoized
     :meth:`~repro.models.graph.ModelGraph.chain_reduction`; only the nodes,
-    which carry this search's widths and caches, are built per call.
+    which carry this search's widths and tables, are built per call.
     """
-    return _chain_nodes(graph.chain_reduction(), costs, candidates, total_gpus, amp_limit)
+    nodes, _ = _chain_nodes(
+        graph.chain_reduction(), costs, candidates, total_gpus, amp_limit, {}
+    )
+    return nodes
