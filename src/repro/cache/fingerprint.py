@@ -33,6 +33,7 @@ __all__ = [
     "planner_config_fingerprint",
     "fleet_fingerprint",
     "trace_fingerprint",
+    "snapshot_digest",
     "snapshot_fingerprint",
     "shard_anchor_fingerprint",
 ]
@@ -146,6 +147,25 @@ def trace_fingerprint(trace) -> str:
     return fingerprint("trace", payload)
 
 
+# ``fingerprint("engine-snapshot", payload)`` hashes exactly these bytes
+# around the payload's canonical encoding.
+_SNAPSHOT_HEAD = b'["engine-snapshot",'
+_SNAPSHOT_TAIL = b"]"
+
+
+def snapshot_digest(encoded: bytes) -> str:
+    """:func:`snapshot_fingerprint` of a payload already canonically encoded.
+
+    ``encoded`` is ``canonical_json(payload).encode("utf-8")``.  A caller
+    that needs those bytes anyway (the service writes them to its snapshot
+    file) hashes them here instead of encoding the payload a second time.
+    """
+    digest = hashlib.sha256(_SNAPSHOT_HEAD)
+    digest.update(encoded)
+    digest.update(_SNAPSHOT_TAIL)
+    return digest.hexdigest()
+
+
 def snapshot_fingerprint(payload) -> str:
     """Fingerprint of an :class:`~repro.sched.snapshot.EngineSnapshot` payload.
 
@@ -155,7 +175,7 @@ def snapshot_fingerprint(payload) -> str:
     been corrupted — the recovery path verifies this before applying a
     single field.
     """
-    return fingerprint("engine-snapshot", payload)
+    return snapshot_digest(canonical_json(payload).encode("utf-8"))
 
 
 def shard_anchor_fingerprint(workload: str, boundaries, index: int) -> str:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
 from ..cache.fingerprint import (
@@ -53,6 +53,7 @@ from .traces import TraceJob
 
 __all__ = [
     "EngineSnapshot",
+    "RECORD_FIELDS",
     "SNAPSHOT_SCHEMA",
     "dec_float",
     "dump_record",
@@ -129,9 +130,18 @@ def load_trace_job(row: Dict[str, Any]) -> TraceJob:
     )
 
 
+#: Every :class:`JobRecord` field, in declaration order: the keys of a
+#: :func:`dump_record` row.
+RECORD_FIELDS = tuple(f.name for f in fields(JobRecord))
+
+
 def dump_record(record: JobRecord) -> Dict[str, Any]:
-    """A completion record as a canonical-JSON row."""
-    row = asdict(record)
+    """A completion record as a canonical-JSON row.
+
+    Every field is a primitive (``kind`` is encoded by value), so the row
+    is built flat instead of through ``asdict``'s recursive deep copy.
+    """
+    row = {name: getattr(record, name) for name in RECORD_FIELDS}
     row["kind"] = record.kind.value
     return row
 

@@ -20,7 +20,9 @@ that log:
   and safely.
 * **Segment rotation** — the journal is a directory of
   ``wal-<first_seq>.log`` segments, rotated every ``segment_records``
-  appends, so compaction can drop whole files.
+  appends, so compaction can drop whole files.  With fsync on, the
+  directory is fsynced after a segment is created, so its name is as
+  durable as the records it will hold.
 * **Snapshot-anchored compaction** — :meth:`IntentJournal.compact` deletes
   segments wholly covered by a persisted snapshot's ``journal_seq``
   (see :mod:`repro.serve.recovery`); replay after recovery only walks the
@@ -47,7 +49,13 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..cache.fingerprint import canonical_json
 
-__all__ = ["IntentJournal", "JournalRecord", "JournalScan", "scan_journal"]
+__all__ = [
+    "IntentJournal",
+    "JournalRecord",
+    "JournalScan",
+    "fsync_directory",
+    "scan_journal",
+]
 
 _MAGIC = "J1"
 _SEGMENT_PREFIX = "wal-"
@@ -136,6 +144,20 @@ def _list_segments(directory: Path) -> List[Path]:
         and path.name.endswith(_SEGMENT_SUFFIX)
     ]
     return sorted(out)
+
+
+def fsync_directory(directory: Path) -> None:
+    """Persist the entries of ``directory`` (files created or renamed in it).
+
+    ``fsync`` on a file makes its data durable, not the directory entry
+    that names it: after a power cut a freshly created file can vanish
+    even though its contents were synced.
+    """
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def scan_journal(directory: Union[str, Path]) -> JournalScan:
@@ -272,6 +294,11 @@ class IntentJournal:
         """Sequence number of the last durable record (0 when empty)."""
         return self._next_seq - 1
 
+    @property
+    def fsync(self) -> bool:
+        """Whether each append and each new directory entry is fsynced."""
+        return self._fsync
+
     def _open_segment(self, path: Path) -> None:
         self._close_fd()
         self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -291,6 +318,10 @@ class IntentJournal:
         """
         if self._fd is None or self._segment_count >= self._segment_records:
             self._open_segment(_segment_path(self.directory, self._next_seq))
+            if self._fsync:
+                # The new segment's name must be durable before any record
+                # in it is acknowledged.
+                fsync_directory(self.directory)
             self._segment_count = 0
         seq = self._next_seq
         record = _encode(seq, intent)

@@ -39,9 +39,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..cache.fingerprint import canonical_json, snapshot_fingerprint
+from ..cache.fingerprint import (
+    canonical_json,
+    snapshot_digest,
+    snapshot_fingerprint,
+)
 from ..obs.trace import EV_RECOVERY, EV_SNAPSHOT
-from .journal import IntentJournal, JournalRecord, scan_journal
+from .journal import IntentJournal, JournalRecord, fsync_directory, scan_journal
 
 __all__ = [
     "SERVICE_SNAPSHOT_SCHEMA",
@@ -118,28 +122,32 @@ def list_snapshots(directory: Union[str, Path]) -> List[Path]:
 def write_snapshot(service) -> Path:
     """Persist the service's durable state, atomically, and compact.
 
-    The document (``{"schema", "fingerprint", "payload"}``) goes through a
-    same-directory temp file and ``os.replace`` so a crash mid-write can
-    never leave a half-written ``state-*.json`` where recovery would find
-    it.  After the rename, snapshots beyond ``snapshot_keep`` are pruned
-    and the journal is compacted behind the oldest one retained.
+    The document is ``canonical_json({"schema", "fingerprint", "payload"})``.
+    The payload is encoded once: the fingerprint is the digest of those
+    bytes, and the file is those bytes between the document's other keys
+    in sorted order.  It goes through a same-directory temp file and
+    ``os.replace`` so a crash mid-write can never leave a half-written
+    ``state-*.json`` where recovery would find it; with journal fsync on,
+    the directory is fsynced after the rename so the new name survives a
+    power cut.  After the rename, snapshots beyond ``snapshot_keep`` are
+    pruned and the journal is compacted behind the oldest one retained.
     """
     journal = service._journal
     if journal is None:
         raise ValueError("service has no journal attached")
     payload = service.durable_state()
-    doc = {
-        "schema": SERVICE_SNAPSHOT_SCHEMA,
-        "fingerprint": snapshot_fingerprint(payload),
-        "payload": payload,
-    }
+    encoded = canonical_json(payload).encode("utf-8")
+    head = f'{{"fingerprint":"{snapshot_digest(encoded)}","payload":'.encode()
+    tail = f',"schema":{SERVICE_SNAPSHOT_SCHEMA}}}'.encode()
     directory = journal.directory
     seq = payload["journal_seq"]
     path = directory / f"{_SNAP_PREFIX}{seq:012d}{_SNAP_SUFFIX}"
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".state-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(head)
+            fh.write(encoded)
+            fh.write(tail)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -149,6 +157,8 @@ def write_snapshot(service) -> Path:
         except OSError:
             pass
         raise
+    if journal.fsync:
+        fsync_directory(directory)
     service._emitter.emit(service.clock, EV_SNAPSHOT, detail=f"seq={seq}")
     snaps = list_snapshots(directory)
     keep = service._snapshot_keep

@@ -11,6 +11,8 @@ through the ``python -m repro.serve smoke --crash`` entry point.
 
 import asyncio
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +273,65 @@ class TestServiceDurability:
             5,
             10,
         ]
+
+
+# ---------------------------------------------------------------------------
+# Directory fsyncs: a created or renamed file's name is durable too
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Every ``os.fsync``, in call order, as ``"dir"`` or ``"file"``."""
+    calls = []
+    real = os.fsync
+
+    def record(fd):
+        calls.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    return calls
+
+
+class TestDirectoryFsync:
+    def test_new_segment_fsyncs_the_directory_before_its_records(
+        self, tmp_path, fsyncs
+    ):
+        with IntentJournal(tmp_path, segment_records=2) as journal:
+            for index in range(5):
+                journal.append({"op": "noop", "index": index})
+        assert fsyncs == ["dir", "file", "file"] * 2 + ["dir", "file"]
+
+    def test_reopened_segment_is_not_a_new_entry(self, tmp_path, fsyncs):
+        with IntentJournal(tmp_path) as journal:
+            journal.append({"op": "noop"})
+        fsyncs.clear()
+        with IntentJournal(tmp_path) as journal:
+            journal.append({"op": "noop"})
+        assert fsyncs == ["file"]
+
+    def test_unsynced_journal_syncs_no_directory(self, tmp_path, fsyncs):
+        with IntentJournal(tmp_path, segment_records=2, fsync=False) as journal:
+            for index in range(5):
+                journal.append({"op": "noop", "index": index})
+        assert fsyncs == []
+
+    def test_snapshot_rename_fsyncs_the_directory(self, tmp_path, fsyncs):
+        _journaled_run(tmp_path / "wal", snapshot_every=5)
+        # One segment, 14 appends, snapshots after intents 5 and 10: each
+        # snapshot file is fsynced, then the directory holding its new name.
+        snapshot = ["file", "dir"]
+        assert fsyncs == (
+            ["dir"] + ["file"] * 5 + snapshot + ["file"] * 5 + snapshot
+            + ["file"] * 4
+        )
+
+    def test_unsynced_service_still_fsyncs_snapshot_files_only(
+        self, tmp_path, fsyncs
+    ):
+        _journaled_run(tmp_path / "wal", snapshot_every=5, journal_fsync=False)
+        assert fsyncs == ["file", "file"]
 
 
 # ---------------------------------------------------------------------------
