@@ -3,38 +3,35 @@
 The scheduler is a discrete-event simulator in the classic event-queue style:
 every state change (a job arriving, a job finishing) is an :class:`Event`
 with a firing time, and the simulation advances by popping the earliest event
-from an :class:`EventQueue` and reacting to it.  Events are totally ordered
-by ``(time, seq)`` so simultaneous events resolve deterministically in
-insertion order, which keeps whole simulations reproducible under a fixed
-trace seed.
+from an :class:`EventQueue` and reacting to it.
 
-Both containers here obey strict heap discipline: all mutations are
-``heappush``/``heappop`` (O(log n)), never sort-on-insert.  Events implement
-``__lt__`` on ``(time, seq)`` and are stored in the heap directly, avoiding a
-wrapper-tuple allocation per push.  :class:`GpuPool` applies the same
-discipline to the cluster's free-GPU set, which the scheduler previously
-re-sorted on every placement.
+:class:`Event` is a named tuple whose first two fields are ``(time, seq)``,
+so built-in tuple comparison (run in C by ``heapq`` and ``sorted``) is the
+event order: earliest time first, simultaneous events in insertion order.
+``seq`` comes from a per-queue monotonic counter, so no two events of one
+queue share ``(time, seq)`` and comparison never reaches the later fields —
+tuple order is a *strict total order*.  Crash-safe snapshots rely on that:
+:mod:`repro.sched.snapshot` serializes the heap as its sorted event list (a
+canonical form independent of the heap's internal array layout) and restores
+it bit-compatibly, because a heap's extraction sequence is a pure function of
+the total order, never of insertion history.  ``push`` rejects NaN times,
+which would break the order.
 
 Finish events are *lazily invalidated*: re-planning or preempting a job bumps
 the job's version counter instead of searching the heap, and stale events are
 discarded when popped.  This keeps re-planning O(log n) per change.
 
-**Total-order audit** (crash-safe snapshots rely on it): ``seq`` is assigned
-from a per-queue monotonic counter, so no two events of one queue ever share
-``(time, seq)`` — ``Event.__lt__`` is a *strict total order* with no
-equal-priority ambiguity left for heap internals to break arbitrarily.  That
-is what lets :mod:`repro.sched.snapshot` serialize the heap as its sorted
-event list (a canonical form independent of the heap's internal array
-layout) and restore it bit-compatibly: the extraction sequence of a heap is
-a pure function of the total order, never of insertion history.
+:class:`GpuPool` holds the cluster's free GPUs as a sorted list of ids:
+placements take the lowest ids with one slice, and releases append the freed
+ids and call ``list.sort``, which finds the free list as one sorted run and
+merges the freed ids into it in C.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from ..obs.metrics import global_registry
 
@@ -57,9 +54,8 @@ class EventKind(str, Enum):
     NODE_RECOVERY = "node-recovery"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One scheduled state change.
+class Event(NamedTuple):
+    """One scheduled state change, ordered by ``(time, seq)``.
 
     Attributes
     ----------
@@ -86,12 +82,6 @@ class Event:
     job_name: str
     version: int = 0
     host: int = -1
-
-    def __lt__(self, other: "Event") -> bool:
-        # seq is unique per queue, so (time, seq) is a strict total order.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
 
 class EventQueue:
@@ -132,16 +122,10 @@ class EventQueue:
         host: int = -1,
     ) -> Event:
         """Schedule an event and return it."""
-        if time < 0:
-            raise ValueError("event time must be non-negative")
-        event = Event(
-            time=time,
-            seq=self._next_seq,
-            kind=kind,
-            job_name=job_name,
-            version=version,
-            host=host,
-        )
+        if not time >= 0:  # also rejects NaN, which has no place in the order
+            raise ValueError(f"event time must be non-negative, got {time}")
+        # ``_make`` skips the per-field argument binding of ``Event(...)``.
+        event = Event._make((time, self._next_seq, kind, job_name, version, host))
         self._next_seq += 1
         heapq.heappush(self._heap, event)
         self._pushed.add(1)
@@ -169,11 +153,11 @@ class EventQueue:
         """Canonical capture of the queue: sorted events + counter state.
 
         The heap is serialized in ``(time, seq)`` order — the strict total
-        order ``__lt__`` implements — so two queues holding the same events
-        always serialize identically, whatever their internal array layout.
-        ``pushed``/``popped`` travel along because ``popped`` is the run's
-        deterministic op count (``ScheduleResult.events_processed``); a
-        restored run must keep counting from where the original stood.
+        order of :class:`Event` tuples — so two queues holding the same
+        events always serialize identically, whatever their internal array
+        layout.  ``pushed``/``popped`` travel along because ``popped`` is the
+        run's deterministic op count (``ScheduleResult.events_processed``);
+        a restored run must keep counting from where the original stood.
         """
         events = sorted(self._heap)
         return {
@@ -194,15 +178,8 @@ class EventQueue:
         against hand-edited payloads.
         """
         self._heap = [
-            Event(
-                time=row[0],
-                seq=row[1],
-                kind=EventKind(row[2]),
-                job_name=row[3],
-                version=row[4],
-                host=row[5],
-            )
-            for row in payload["events"]
+            Event(time, seq, EventKind(kind), job_name, version, host)
+            for time, seq, kind, job_name, version, host in payload["events"]
         ]
         heapq.heapify(self._heap)
         self._next_seq = payload["next_seq"]
@@ -211,35 +188,35 @@ class EventQueue:
 
 
 class GpuPool:
-    """The cluster's free GPUs, kept as a min-heap of device ids.
+    """The cluster's free GPUs, kept as a sorted list of device ids.
 
     Placements always take the lowest-numbered free GPUs (which keeps runs
-    deterministic), so the pool is exactly a priority queue: ``take`` pops
-    ``count`` ids in O(count · log n) and ``release`` pushes each freed id
-    back in O(log n) — replacing the previous list that was re-sorted on
-    every take.
+    deterministic): ``take`` slices them off the front, and ``release``
+    appends the freed ids and re-sorts, which Timsort does as a merge into
+    the existing sorted run.  Both run in C, with no Python-level work per
+    id.
     """
 
     def __init__(self, gpu_ids: Iterable[int] = ()) -> None:
-        self._heap = list(gpu_ids)
-        heapq.heapify(self._heap)
+        self._ids = sorted(gpu_ids)
         self._takes = _POOL_TAKES
         self._releases = _POOL_RELEASES
 
     def take(self, count: int) -> List[int]:
         """Remove and return the ``count`` lowest free GPU ids."""
-        if count > len(self._heap):
-            raise ValueError(
-                f"cannot take {count} GPUs from a pool of {len(self._heap)}"
-            )
+        ids = self._ids
+        if not 0 <= count <= len(ids):
+            raise ValueError(f"cannot take {count} GPUs from a pool of {len(ids)}")
         self._takes.add(1)
-        return [heapq.heappop(self._heap) for _ in range(count)]
+        taken = ids[:count]
+        del ids[:count]
+        return taken
 
     def release(self, gpu_ids: Iterable[int]) -> None:
         """Return GPUs to the pool."""
         self._releases.add(1)
-        for gpu_id in gpu_ids:
-            heapq.heappush(self._heap, gpu_id)
+        self._ids.extend(gpu_ids)
+        self._ids.sort()
 
     def remove(self, gpu_ids: Iterable[int]) -> List[int]:
         """Take specific GPUs out of the pool (those present), sorted.
@@ -247,22 +224,19 @@ class GpuPool:
         Used by node-failure handling: a failed host's *free* GPUs leave
         the pool immediately (its busy GPUs are reclaimed when their
         evicted jobs release them).  Ids not currently free are ignored.
-        Failures are rare, so the O(n) rebuild is acceptable — every other
-        mutation keeps strict heap discipline.
         """
         targets = set(gpu_ids)
-        removed = sorted(g for g in self._heap if g in targets)
+        removed = [g for g in self._ids if g in targets]
         if removed:
-            self._heap = [g for g in self._heap if g not in targets]
-            heapq.heapify(self._heap)
+            self._ids = [g for g in self._ids if g not in targets]
         return removed
 
     def ids(self) -> List[int]:
-        """Sorted ids of every free GPU (for integrity checks)."""
-        return sorted(self._heap)
+        """Sorted ids of every free GPU (a copy; for snapshots and checks)."""
+        return list(self._ids)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._ids)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._ids)

@@ -17,7 +17,7 @@ This module models that structure:
   declaration order, so fleet metrics are invariant to how the pools were
   enumerated).
 * :class:`FleetPool` — the free-GPU registry for one scheduler run: one
-  heap-disciplined :class:`~repro.sched.events.GpuPool` per pool, plus the
+  sorted-list :class:`~repro.sched.events.GpuPool` per pool, plus the
   bookkeeping for failed hosts (a failed host's GPUs leave the free pool and
   re-enter it only at recovery; GPUs released by evicted jobs while their
   host is down are absorbed rather than double-freed).
@@ -214,11 +214,11 @@ class ClusterFleet:
 class FleetPool:
     """The free GPUs of a fleet, tracked per pool, with failure bookkeeping.
 
-    One :class:`~repro.sched.events.GpuPool` heap per pool keeps takes
-    deterministic (lowest free id of the requested type).  Host failures
-    move a host's GPUs into a *down* set: free ones leave their heap
+    One sorted :class:`~repro.sched.events.GpuPool` per pool keeps takes
+    deterministic (lowest free ids of the requested type).  Host failures
+    move a host's GPUs into a *down* set: free ones leave their pool
     immediately, busy ones are absorbed when their evicted job releases
-    them, and recovery returns every one of the host's GPUs to its heap
+    them, and recovery returns every one of the host's GPUs to its pool
     exactly once — no leaks, no double-frees.
     """
 
@@ -308,9 +308,9 @@ class FleetPool:
     def snapshot_state(self) -> Dict[str, Any]:
         """Canonical capture: per-pool sorted free lists + down bookkeeping.
 
-        Free ids are dumped sorted — a :class:`GpuPool` heap's take order is
-        a pure function of its id *set* (always the lowest free id), so the
-        sorted list is a canonical form independent of heap layout.
+        Each :class:`GpuPool` already keeps its free ids sorted, and its take
+        order is a pure function of that id *set* (always the lowest free
+        ids), so the dumped list is canonical and restores the same takes.
         """
         return {
             "free": {name: pool.ids() for name, pool in self._free.items()},

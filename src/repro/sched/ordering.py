@@ -1,11 +1,12 @@
 """Mutation-maintained orderings for the scheduler's placement pass.
 
-PR 2 made the event queue and GPU free-list heap-disciplined, but the
-placement pass itself still re-sorted three populations from scratch at
-every scheduling point: the pending queue (``sorted`` per pass), the
-preemption victim list, and the re-planning candidates — O(n log n) Python
-key-function calls *per event*, ruinous at the ``sched_sim_xl`` scale
-(thousands of GPUs, tens of thousands of jobs).
+The event queue is a heap and the GPU free lists are kept sorted (see
+:mod:`repro.sched.events`), but the placement pass itself once re-sorted
+three populations from scratch at every scheduling point: the pending
+queue (``sorted`` per pass), the preemption victim list, and the
+re-planning candidates — O(n log n) Python key-function calls *per event*,
+ruinous at the ``sched_sim_xl`` scale (thousands of GPUs, tens of
+thousands of jobs).
 
 This module replaces those sorts with structures maintained on mutation:
 
