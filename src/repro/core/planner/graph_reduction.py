@@ -24,8 +24,10 @@ Implementation outline
   (on spare GPUs, if it fits within the critical branch's time) or serially —
   exactly the procedure of Figure 7, step 2.  Only the branch's hand-off to
   the joining layer depends on ``h``, so each branch's forward rows are
-  relaxed once per ``g`` and only the final join-sink row is priced per
-  ``h``; layer assignments are built only for the blocks in the plan.
+  relaxed once per ``g`` and then extended by one join-sink row that holds
+  every ``h`` (each width in a row is relaxed independently, so this equals
+  one sink per ``h``): two relaxed chains per branch per entry width.  Layer
+  assignments are built only for the blocks in the plan.
 * Nested branch/join structures (such as the split 1x3 / 3x1 tails inside
   InceptionE) become blocks inside a branch's chain.
 * Blocks with the same *signature* share one ``(g, h)`` table per search.
@@ -68,18 +70,21 @@ class LayerNode:
     def candidate_gpus(self) -> Sequence[int]:
         return self.candidates
 
-    def node_cost(self, num_gpus: int) -> float:
-        return self.costs.node_cost(self.layer_id, num_gpus)
+    def node_costs(self, widths: Sequence[int]) -> Sequence[float]:
+        return self.costs.node_cost_row(self.layer_id, widths)
 
     def single_gpu_cost(self) -> float:
         return self.costs.comp(self.layer_id, 1)
 
-    def transition_cost(
-        self, prev_exit_layer: Optional[int], prev_gpus: int, num_gpus: int
-    ) -> float:
-        if prev_exit_layer is None:
-            return 0.0
-        return self.costs.comm(prev_exit_layer, prev_gpus, self.layer_id, num_gpus)
+    def transition_columns(
+        self,
+        prev_exit_layer: Optional[int],
+        prev_widths: Sequence[int],
+        widths: Sequence[int],
+    ) -> Sequence[Sequence[float]]:
+        return _comm_columns(
+            self.costs, prev_exit_layer, prev_widths, self.layer_id, widths
+        )
 
     def assignments(
         self, prev_gpus: int, num_gpus: int, stage_time: float, transition_time: float
@@ -151,18 +156,21 @@ class BlockNode:
     def candidate_gpus(self) -> Sequence[int]:
         return self.candidates
 
-    def node_cost(self, num_gpus: int) -> float:
-        return self.costs.node_cost(self.join_layer_id, num_gpus)
+    def node_costs(self, widths: Sequence[int]) -> Sequence[float]:
+        return self.costs.node_cost_row(self.join_layer_id, widths)
 
     def single_gpu_cost(self) -> float:
         return self.costs.comp(self.join_layer_id, 1)
 
-    def transition_cost(
-        self, prev_exit_layer: Optional[int], prev_gpus: int, num_gpus: int
-    ) -> float:
+    def transition_columns(
+        self,
+        prev_exit_layer: Optional[int],
+        prev_widths: Sequence[int],
+        widths: Sequence[int],
+    ) -> Sequence[Sequence[float]]:
         del prev_exit_layer  # always the branching layer
-        time, _ = self._schedule(prev_gpus, num_gpus)
-        return time
+        schedule = self._schedule
+        return [[schedule(h, g)[0] for h in prev_widths] for g in widths]
 
     def assignments(
         self, prev_gpus: int, num_gpus: int, stage_time: float, transition_time: float
@@ -193,8 +201,8 @@ class BlockNode:
 
         Only a branch's hand-off to the joining layer depends on the join
         width, so each branch's forward rows are relaxed once here and then
-        extended by one join-sink row per join width.  The rows are dropped
-        afterwards; only the backtraced paths are kept.
+        extended by one join-sink row over every join width.  The rows are
+        dropped afterwards; only the backtraced paths are kept.
         """
         branch_rows = [
             relax_chain(
@@ -205,23 +213,27 @@ class BlockNode:
             )
             for branch in self.branches
         ]
-        # (branch index, last width) -> decisions; join widths share paths.
-        paths: Dict[Tuple[int, int], List[NodeDecision]] = {}
-        for join_gpus in self.candidates:
-            sink = _JoinSinkNode(self.costs, self.join_layer_id, join_gpus)
+        sink = _JoinSinkNode(self.costs, self.join_layer_id, self.candidates)
+        sink_rows = [rows.then([sink], self.amp_limit) for rows in branch_rows]
+        # (branch index, last width) -> (decisions, widest width); join
+        # widths share paths.
+        paths: Dict[Tuple[int, int], Tuple[List[NodeDecision], int]] = {}
+        for j, join_gpus in enumerate(self.candidates):
             outcomes = []
-            for index, rows in enumerate(branch_rows):
-                tail = rows.then([sink], self.amp_limit)
-                last_gpus = tail.parent[0][join_gpus]
-                decisions = paths.get((index, last_gpus))
-                if decisions is None:
-                    decisions = paths[index, last_gpus] = rows.backtrace(last_gpus)
+            for index, (rows, tail) in enumerate(zip(branch_rows, sink_rows)):
+                last_gpus = tail.parent[0][j]
+                path = paths.get((index, last_gpus))
+                if path is None:
+                    decisions = rows.backtrace(last_gpus)
+                    path = paths[index, last_gpus] = (
+                        decisions, max(d.num_gpus for d in decisions)
+                    )
                 outcomes.append(
                     _BranchOutcome(
-                        time=tail.s[0][join_gpus],
-                        max_gpus=max(d.num_gpus for d in decisions),
+                        time=tail.s[0][j],
+                        max_gpus=path[1],
                         branch=index,
-                        decisions=decisions,
+                        decisions=path[0],
                     )
                 )
             if self.has_identity_branch:
@@ -273,36 +285,55 @@ class BlockNode:
 
 @dataclass
 class _JoinSinkNode:
-    """Virtual terminal node used to price a branch's hand-off to the join layer."""
+    """Virtual terminal node pricing a branch's hand-off to the join layer.
+
+    Its row holds every join width, each relaxed independently from the
+    branch's last row.
+    """
 
     costs: PlannerCostModel
     join_layer_id: int
-    join_gpus: int
+    join_gpus: Sequence[int]
 
     def __post_init__(self) -> None:
         self.exit_layer_id = self.join_layer_id
 
     def candidate_gpus(self) -> Sequence[int]:
-        return [self.join_gpus]
+        return self.join_gpus
 
-    def node_cost(self, num_gpus: int) -> float:
-        del num_gpus
-        return 0.0
+    def node_costs(self, widths: Sequence[int]) -> Sequence[float]:
+        return (0.0,) * len(widths)
 
     def single_gpu_cost(self) -> float:
         return 0.0
 
-    def transition_cost(
-        self, prev_exit_layer: Optional[int], prev_gpus: int, num_gpus: int
-    ) -> float:
-        if prev_exit_layer is None:
-            return 0.0
-        return self.costs.comm(prev_exit_layer, prev_gpus, self.join_layer_id, num_gpus)
+    def transition_columns(
+        self,
+        prev_exit_layer: Optional[int],
+        prev_widths: Sequence[int],
+        widths: Sequence[int],
+    ) -> Sequence[Sequence[float]]:
+        return _comm_columns(
+            self.costs, prev_exit_layer, prev_widths, self.join_layer_id, widths
+        )
 
     def assignments(
         self, prev_gpus: int, num_gpus: int, stage_time: float, transition_time: float
     ) -> List[LayerAssignment]:
         return []
+
+
+def _comm_columns(
+    costs: PlannerCostModel,
+    prev_exit_layer: Optional[int],
+    prev_widths: Sequence[int],
+    layer_id: int,
+    widths: Sequence[int],
+) -> Sequence[Sequence[float]]:
+    """Redistribution columns into ``layer_id``; free from the model input."""
+    if prev_exit_layer is None:
+        return ((0.0,) * len(prev_widths),) * len(widths)
+    return costs.comm_columns(prev_exit_layer, prev_widths, layer_id, widths)
 
 
 def _chain_nodes(

@@ -19,11 +19,16 @@ plan always exists) while steering the search toward efficient predecessors.
 The solver works over abstract :class:`ChainNode` elements rather than raw
 layers so that the multi-chain graph reduction (Figure 7) can feed it
 branch/join *blocks* whose transition cost already encodes the branches.
-It is split in two steps: :func:`relax_chain` computes the forward rows (the
-only copy of the recurrence and its amplification filter), and
-:class:`ChainRows` selects the final width and backtraces.
-:func:`solve_chain` runs both over a whole chain; a block reuses one
-branch's rows for every join width.
+A node hands the solver whole cost rows: its stage cost at every width, and
+one transition *column* per width ``g`` holding the cost from every previous
+width ``h``.  The recurrence then only zips lists; it makes no call per
+``(g, h)`` pair.
+
+The solver is split in two steps: :func:`relax_chain` computes the forward
+rows (the only copy of the recurrence and its amplification filter), and
+:class:`ChainRows` selects the final width and backtraces.  Rows are lists
+aligned with each node's widths.  :func:`solve_chain` runs both over a whole
+chain; a block reuses one branch's rows for every join width.
 """
 
 from __future__ import annotations
@@ -51,7 +56,11 @@ _RELAXATIONS = global_registry().counter("planner.relaxations")
 
 
 class ChainNode(Protocol):
-    """One element of the reduced chain: a single layer or a branch/join block."""
+    """One element of the reduced chain: a single layer or a branch/join block.
+
+    Cost rows are sequences aligned with the widths they are asked for.  The
+    solver only reads them, so a node may return shared, memoized rows.
+    """
 
     #: Layer id whose activations feed the next chain element.
     exit_layer_id: int
@@ -59,15 +68,23 @@ class ChainNode(Protocol):
     def candidate_gpus(self) -> Sequence[int]:
         """GPU counts this node may be scaled to."""
 
-    def node_cost(self, num_gpus: int) -> float:
-        """Compute + gradient-sync time of the node at a GPU count."""
+    def node_costs(self, widths: Sequence[int]) -> Sequence[float]:
+        """Compute + gradient-sync time of the node at each of ``widths``."""
 
     def single_gpu_cost(self) -> float:
         """``comp(i, 1)``: amplification denominator for this node."""
 
-    def transition_cost(self, prev_exit_layer: Optional[int], prev_gpus: int,
-                        num_gpus: int) -> float:
-        """Cost of transitioning from the previous element into this node."""
+    def transition_columns(
+        self,
+        prev_exit_layer: Optional[int],
+        prev_widths: Sequence[int],
+        widths: Sequence[int],
+    ) -> Sequence[Sequence[float]]:
+        """Costs of transitioning from the previous element into this node.
+
+        One column per width ``g`` in ``widths``, holding the cost from each
+        previous width ``h`` in ``prev_widths``.
+        """
 
     def assignments(self, prev_gpus: int, num_gpus: int, stage_time: float,
                     transition_time: float) -> List[LayerAssignment]:
@@ -106,29 +123,24 @@ class ChainSolution:
         return max((d.amplification for d in self.decisions), default=0.0)
 
 
-def _amplification(node: ChainNode, num_gpus: int, stage_time: float) -> float:
-    base = node.single_gpu_cost()
-    if base <= 0.0:
-        return 0.0
-    return stage_time * num_gpus / base
-
-
 @dataclass
 class ChainRows:
-    """Forward rows of Algorithm 1 over a chain, one dict per node keyed by width.
+    """Forward rows of Algorithm 1 over a chain.
 
-    Rows depend only on the nodes and the entry, so a caller may extend them
-    with further nodes (:meth:`then`) without re-relaxing the prefix: the
-    graph reduction relaxes each branch once per entry width and then prices
-    one join-sink row per join width.
+    Per node, ``candidates`` lists its widths and every other field holds one
+    list aligned with them; ``parent`` names the previous node's width on the
+    shortest path.  Rows depend only on the nodes and the entry, so a caller
+    may extend them with further nodes (:meth:`then`) without re-relaxing the
+    prefix: the graph reduction relaxes each branch once per entry width and
+    then prices one join-sink row over every join width.
     """
 
     candidates: List[List[int]]
-    s: List[Dict[int, float]]
-    t: List[Dict[int, float]]
-    trans: List[Dict[int, float]]
-    amp: List[Dict[int, float]]
-    parent: List[Dict[int, int]]
+    s: List[List[float]]
+    t: List[List[float]]
+    trans: List[List[float]]
+    amp: List[List[float]]
+    parent: List[List[int]]
     #: Layer id whose activations leave the last node.
     exit_layer_id: Optional[int]
     #: Number of (node, g, h) relaxations these rows took.
@@ -147,26 +159,27 @@ class ChainRows:
         Falls back to the overall cheapest width if the limit is infeasible
         for every width.
         """
-        s_row, amp_row = self.s[-1], self.amp[-1]
-        feasible = [g for g in s_row if amp_row[g] <= amp_limit]
-        pool = feasible if feasible else list(s_row)
-        return min(pool, key=lambda g: s_row[g])
+        s_row = self.s[-1]
+        feasible = [k for k, amp in enumerate(self.amp[-1]) if amp <= amp_limit]
+        pool = feasible if feasible else range(len(s_row))
+        return self.candidates[-1][min(pool, key=s_row.__getitem__)]
 
     def backtrace(self, final_gpus: int) -> List[NodeDecision]:
         """Decisions of the shortest path ending at ``final_gpus`` on the last node."""
         decisions: List[NodeDecision] = []
         g = final_gpus
         for i in range(len(self.s) - 1, -1, -1):
+            k = self.candidates[i].index(g)
             decisions.append(
                 NodeDecision(
                     node_index=i,
                     num_gpus=g,
-                    stage_time=self.t[i][g],
-                    transition_time=self.trans[i][g],
-                    amplification=self.amp[i][g],
+                    stage_time=self.t[i][k],
+                    transition_time=self.trans[i][k],
+                    amplification=self.amp[i][k],
                 )
             )
-            g = self.parent[i][g]
+            g = self.parent[i][k]
         decisions.reverse()
         return decisions
 
@@ -174,10 +187,10 @@ class ChainRows:
 def _relax(
     nodes: Sequence[ChainNode],
     amp_limit: float,
-    prev_candidates: Sequence[int],
+    prev_widths: List[int],
     prev_exit: Optional[int],
-    prev_s_row: Dict[int, float],
-    prev_amp_row: Dict[int, float],
+    prev_s: List[float],
+    prev_amp: List[float],
 ) -> ChainRows:
     """The Algorithm 1 recurrence over ``nodes``, after a given predecessor row."""
     rows = ChainRows([], [], [], [], [], [], prev_exit, 0)
@@ -186,49 +199,48 @@ def _relax(
     for i, node in enumerate(nodes):
         # Candidate lists are invariant across the DP, so materialize each
         # node's list exactly once instead of re-allocating it in the inner loop.
-        candidates = list(node.candidate_gpus())
-        if not candidates:
+        widths = list(node.candidate_gpus())
+        if not widths:
             raise ValueError(f"chain node {i} has no candidate GPU counts")
-        s_row: Dict[int, float] = {}
-        t_row: Dict[int, float] = {}
-        trans_row: Dict[int, float] = {}
-        parent_row: Dict[int, int] = {}
-        amp_row: Dict[int, float] = {}
-        transition_cost = node.transition_cost
+        base = node.single_gpu_cost()
+        columns = node.transition_columns(prev_exit, prev_widths, widths)
+        s_row: List[float] = []
+        t_row: List[float] = []
+        trans_row: List[float] = []
+        parent_row: List[int] = []
+        amp_row: List[float] = []
 
-        for g in candidates:
+        for g, stage, column in zip(widths, node.node_costs(widths), columns):
             best_amp = inf
             best_s = inf
             best_t = inf
-            best_parent = prev_candidates[0]
-            for h in prev_candidates:
-                prev_amp = prev_amp_row[h]
-                prev_s = prev_s_row[h]
-                trans = transition_cost(prev_exit, h, g)
-                relaxations += 1
+            best_parent = prev_widths[0]
+            for h, s, amp, trans in zip(prev_widths, prev_s, prev_amp, column):
                 # Paper's filter: accept a predecessor if its amplification is
                 # within the limit (or no better-amplified predecessor has
                 # been found yet) and it improves the completion time.
-                if prev_amp <= max(best_amp, amp_limit) and prev_s + trans <= best_s:
-                    best_s = prev_s + trans
+                if (amp <= amp_limit or amp <= best_amp) and s + trans <= best_s:
+                    best_s = s + trans
                     best_t = trans
-                    best_amp = min(best_amp, prev_amp)
+                    if amp < best_amp:
+                        best_amp = amp
                     best_parent = h
-            stage = node.node_cost(g)
-            s_row[g] = best_s + stage
-            t_row[g] = best_t + stage
-            trans_row[g] = best_t
-            parent_row[g] = best_parent
-            amp_row[g] = _amplification(node, g, t_row[g])
+            t = best_t + stage
+            s_row.append(best_s + stage)
+            t_row.append(t)
+            trans_row.append(best_t)
+            parent_row.append(best_parent)
+            amp_row.append(0.0 if base <= 0.0 else t * g / base)
+        relaxations += len(widths) * len(prev_widths)
 
-        rows.candidates.append(candidates)
+        rows.candidates.append(widths)
         rows.s.append(s_row)
         rows.t.append(t_row)
         rows.trans.append(trans_row)
         rows.parent.append(parent_row)
         rows.amp.append(amp_row)
-        prev_candidates, prev_exit = candidates, node.exit_layer_id
-        prev_s_row, prev_amp_row = s_row, amp_row
+        prev_widths, prev_exit = widths, node.exit_layer_id
+        prev_s, prev_amp = s_row, amp_row
 
     rows.exit_layer_id = prev_exit
     rows.relaxations = relaxations
@@ -246,15 +258,16 @@ def relax_chain(
     """Forward rows of Algorithm 1 over a chain (arguments as :func:`solve_chain`)."""
     if not nodes:
         raise ValueError("cannot solve an empty chain")
-    if amp_limit < 1.0:
+    # Written so that NaN fails too; ``inf`` (no limit) stays legal.
+    if not amp_limit >= 1.0:
         raise ValueError("amplification limit must be at least 1.0")
     entry_gpus = list(entry_gpus)
-    base_s = dict(entry_base_s) if entry_base_s else {g: 0.0 for g in entry_gpus}
-    for g in entry_gpus:
-        base_s.setdefault(g, 0.0)
+    base_s = entry_base_s or {}
     # The virtual predecessor never amplifies.
-    entry_amp = {g: 0.0 for g in entry_gpus}
-    return _relax(nodes, amp_limit, entry_gpus, entry_exit_layer, base_s, entry_amp)
+    return _relax(
+        nodes, amp_limit, entry_gpus, entry_exit_layer,
+        [base_s.get(g, 0.0) for g in entry_gpus], [0.0] * len(entry_gpus),
+    )
 
 
 def solve_chain(
@@ -271,7 +284,8 @@ def solve_chain(
     nodes:
         The chain elements, in execution order.
     amp_limit:
-        User-given GPU-sec amplification limit (``AmpLimit``).
+        User-given GPU-sec amplification limit (``AmpLimit``): at least 1.0,
+        or ``inf`` for none.
     entry_gpus:
         GPU counts the virtual predecessor of the first node may have.  For a
         whole-model search this is ``(1,)`` with zero cost (the data loader);
@@ -288,9 +302,9 @@ def solve_chain(
     final_g = rows.final_gpus(amp_limit)
     return ChainSolution(
         decisions=rows.backtrace(final_g),
-        total_time=rows.s[-1][final_g],
-        s_table=rows.s,
-        t_table=rows.t,
+        total_time=rows.s[-1][rows.candidates[-1].index(final_g)],
+        s_table=[dict(zip(w, row)) for w, row in zip(rows.candidates, rows.s)],
+        t_table=[dict(zip(w, row)) for w, row in zip(rows.candidates, rows.t)],
         relaxations=rows.relaxations,
     )
 

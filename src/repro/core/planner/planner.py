@@ -70,7 +70,8 @@ class PlannerConfig:
     powers_of_two_only: bool = True
 
     def __post_init__(self) -> None:
-        if self.amplification_limit < 1.0:
+        # Written so that NaN fails too; ``inf`` (no limit) stays legal.
+        if not self.amplification_limit >= 1.0:
             raise ValueError("amplification_limit must be at least 1.0")
 
 
@@ -178,7 +179,7 @@ class BurstParallelPlanner:
             if amplification_limit is not None
             else self.config.amplification_limit
         )
-        if amp_limit < 1.0:
+        if not amp_limit >= 1.0:  # NaN fails too
             raise ValueError("amplification_limit must be at least 1.0")
         _PLAN_REQUESTS.add(1)
         start = time.perf_counter()

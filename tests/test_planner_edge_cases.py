@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core.planner import BurstParallelPlanner, PlannerConfig
+from repro.core.planner import (
+    BurstParallelPlanner,
+    PlannerConfig,
+    PlannerCostModel,
+    build_chain_nodes,
+    solve_chain,
+)
+from repro.core.planner.linear_search import relax_chain
 from repro.models import build_model, vgg11, vgg16
 from repro.models.graph import LayerSpec, ModelGraph
 from repro.network import get_fabric
@@ -55,6 +62,38 @@ class TestAmplificationLimitOne:
         tight = planner.plan(graph, 32, 8, amplification_limit=1.0)
         loose = planner.plan(graph, 32, 8, amplification_limit=4.0)
         assert loose.iteration_time <= tight.iteration_time
+
+
+class TestAmplificationLimitNaN:
+    """NaN fails every ``>= 1.0`` check, so each entry point must reject it."""
+
+    NAN = float("nan")
+
+    def test_config_rejects_nan(self):
+        with pytest.raises(ValueError):
+            PlannerConfig(amplification_limit=self.NAN)
+
+    def test_config_accepts_inf(self):
+        assert PlannerConfig(amplification_limit=float("inf")).amplification_limit > 1.0
+
+    def test_plan_rejects_nan(self, fabric):
+        planner = BurstParallelPlanner(fabric)
+        with pytest.raises(ValueError):
+            planner.plan(build_model("resnet50"), 64, 8, amplification_limit=self.NAN)
+
+    def test_plan_accepts_inf(self, fabric):
+        graph = vgg11()
+        plan = BurstParallelPlanner(fabric).plan(graph, 32, 8, amplification_limit=float("inf"))
+        _assert_valid_plan(plan, graph, total_gpus=8)
+
+    @pytest.mark.parametrize("solver", [solve_chain, relax_chain])
+    def test_chain_solvers_reject_nan(self, fabric, solver):
+        graph = vgg11()
+        costs = PlannerCostModel(graph=graph, global_batch=32, fabric=fabric)
+        nodes = build_chain_nodes(graph, costs, [1, 2, 4], 4, 2.0)
+        with pytest.raises(ValueError):
+            solver(nodes, self.NAN)
+        solver(nodes, float("inf"))
 
 
 class TestSingleGpuBudget:

@@ -1,7 +1,7 @@
 """Differential tests for the graph reduction's branch search (Figure 7).
 
 :class:`BlockNode` relaxes each branch once per entry width ``g`` and then
-prices only the join-sink row for each join width ``h``.  The reference here
+prices one join-sink row over every join width ``h``.  The reference here
 is the direct form of the paper's procedure: a full
 ``solve_chain(branch + [sink(h)])`` for every ``(g, h)`` pair and every
 branch, with nested blocks solved the same way.  Both must agree exactly —
@@ -48,14 +48,14 @@ class ReferenceBlock:
     def candidate_gpus(self) -> Sequence[int]:
         return self.candidates
 
-    def node_cost(self, num_gpus: int) -> float:
-        return self.costs.node_cost(self.block.join_layer, num_gpus)
+    def node_costs(self, widths: Sequence[int]) -> List[float]:
+        return [self.costs.node_cost(self.block.join_layer, g) for g in widths]
 
     def single_gpu_cost(self) -> float:
         return self.costs.comp(self.block.join_layer, 1)
 
-    def transition_cost(self, prev_exit_layer, prev_gpus: int, num_gpus: int) -> float:
-        return self.solve(prev_gpus, num_gpus)[0]
+    def transition_columns(self, prev_exit_layer, prev_widths, widths):
+        return [[self.solve(h, g)[0] for h in prev_widths] for g in widths]
 
     def assignments(self, prev_gpus, num_gpus, stage_time, transition_time):
         join = self.block.join_layer
@@ -77,7 +77,7 @@ class ReferenceBlock:
         if not nodes:
             time = self.costs.comm(self.block.branch_layer, g, self.block.join_layer, h)
             return time, 0, [], True
-        sink = _JoinSinkNode(self.costs, self.block.join_layer, h)
+        sink = _JoinSinkNode(self.costs, self.block.join_layer, [h])
         solution = solve_chain(
             list(nodes) + [sink],
             amp_limit=self.amp_limit,

@@ -1,7 +1,7 @@
 """Tests for Algorithm 1 (the chain dynamic program) on synthetic chains."""
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import pytest
 
@@ -25,16 +25,20 @@ class FakeNode:
     def candidate_gpus(self) -> Sequence[int]:
         return sorted(self.costs)
 
-    def node_cost(self, num_gpus: int) -> float:
-        return self.costs[num_gpus]
+    def node_costs(self, widths: Sequence[int]) -> List[float]:
+        return [self.costs[g] for g in widths]
 
     def single_gpu_cost(self) -> float:
         return self.base_cost
 
-    def transition_cost(self, prev_exit_layer, prev_gpus: int, num_gpus: int) -> float:
-        if prev_exit_layer is None or prev_gpus == num_gpus:
-            return 0.0
-        return self.transition
+    def transition_columns(self, prev_exit_layer, prev_widths, widths):
+        return [
+            [
+                0.0 if prev_exit_layer is None or h == g else self.transition
+                for h in prev_widths
+            ]
+            for g in widths
+        ]
 
     def assignments(self, prev_gpus, num_gpus, stage_time, transition_time):
         return [
@@ -182,15 +186,13 @@ class TestBlockRelaxations:
         block = nodes[2]
         assert isinstance(block, BlockNode)
         start = counter.value
-        for g in (1, 2, 4):
-            for h in (1, 2, 4):
-                block.transition_cost(block.branch_layer_id, g, h)
+        block.transition_columns(block.branch_layer_id, [1, 2, 4], [1, 2, 4])
         # Forward rows once per entry width g: branch a is 3x1 + 3x3, branch
-        # b is 3x1, so 15 per g and 45 in all.  Then one sink row per (g, h)
-        # and branch, 3 relaxations each: 9 pairs x 2 branches x 3 = 54.
+        # b is 3x1, so 15 per g and 45 in all.  Then one sink row per g and
+        # branch over the 3 join widths, 3x3 relaxations each: 3 x 2 x 9 = 54.
         # (Re-solving both branches per (g, h) would take 9 x 21 = 189.)
         assert counter.value - start == 45 + 54
-        block.transition_cost(block.branch_layer_id, 2, 4)  # cached pair
+        block.transition_columns(block.branch_layer_id, [2], [4])  # cached pair
         assert counter.value - start == 99
 
     def test_whole_plan_counts_outer_and_block_relaxations(self):

@@ -21,6 +21,7 @@ from repro.core.planner import (
     PlannerCostModel,
     build_chain_nodes,
     candidate_gpu_counts,
+    linear_search,
     solve_chain,
 )
 from repro.core.planner.linear_search import chain_assignments
@@ -284,3 +285,37 @@ class TestWorkCounters:
         # 2,076 profiler misses.
         assert counter.value - start == 18_618
         assert profiler.cache_stats.misses == 336
+
+    def test_join_sink_is_one_row_per_branch(self, monkeypatch):
+        """Per entry width, a block relaxes each branch once, then one sink row."""
+        calls = []
+        relax = linear_search._relax
+
+        def counting_relax(nodes, *args):
+            calls.append(len(nodes))
+            return relax(nodes, *args)
+
+        monkeypatch.setattr(linear_search, "_relax", counting_relax)
+        (block,), _ = _blocks_and_costs(build_block_chain([_spec("b")], [4_000]))
+        widths = list(block.candidate_gpus())
+        for g in widths:
+            del calls[:]
+            block.transition_columns(block.branch_layer_id, [g], widths)
+            # Two branches: their forward rows, then each one's sink row.
+            assert len(calls) == 2 * len(block.branches) == 4
+            assert calls[len(block.branches):] == [1] * len(block.branches)
+
+    def test_planner_cold_requests_pins(self):
+        """The perfbench ``planner_cold`` request list on a fresh planner."""
+        counter = global_registry().counter("planner.relaxations")
+        profiler = LayerProfiler()
+        planner = BurstParallelPlanner(get_fabric("nvswitch"), profiler,
+                                       PlannerConfig(2.0, True))
+        start = counter.value
+        for model in registry.available_models():
+            graph = registry.build_model(model)
+            batch = registry.model_entry(model).default_global_batch
+            for gpus in (1, 2, 4, 8, 16, 32):
+                planner.plan(graph, max(batch, gpus), gpus)
+        assert counter.value - start == 230_986
+        assert profiler.cache_stats.misses == 1_546
