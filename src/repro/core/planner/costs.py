@@ -19,14 +19,16 @@ redistribution model read nothing else of a layer, so two layers with the
 same cost shape have identical costs at every width, and each distinct shape
 is priced once (ResNet-101's 346 layers have 56 cost shapes).
 
-The chain search reads whole rows rather than single values, so two more
-memos sit on top of the per-width ones and are built only from them:
-:meth:`~PlannerCostModel.node_cost_row` keeps a layer's compute-plus-sync
-times per ``(cost shape, widths)``, and
-:meth:`~PlannerCostModel.comm_columns` keeps the redistribution costs per
+The chain search reads whole rows rather than single values, so one
+search's :class:`SearchRows` keeps two more memos, built only from the
+per-width ones: :meth:`~SearchRows.node_cost_row` keeps a layer's
+compute-plus-sync times per ``(cost shape, widths)``, and
+:meth:`~SearchRows.comm_columns` keeps the redistribution costs per
 ``(source cost shape, source widths, destination widths)``, one column per
 destination width.  Both return shared tuples: immutable, and of floats
-only, so the garbage collector stops tracking them.
+only, so the garbage collector stops tracking them.  The rows live only as
+long as the search: each plan asks for its own widths, so a row is reused
+within a plan and almost never by the next one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ...network.fabric import NetworkFabric
 from ...network.transfer import RedistributionCostModel
 from ...profiler.layer_profiler import AMP_DTYPE_BYTES, LayerProfiler, per_gpu_batch
 
-__all__ = ["PlannerCostModel", "candidate_gpu_counts"]
+__all__ = ["PlannerCostModel", "SearchRows", "candidate_gpu_counts"]
 
 
 def candidate_gpu_counts(
@@ -107,12 +109,6 @@ class PlannerCostModel:
         self._comp_cache: Dict[Tuple[int, int], float] = {}
         self._sync_cache: Dict[Tuple[int, int], float] = {}
         self._comm_cache: Dict[Tuple[int, int, int], float] = {}
-        # Row memos over those: (cost shape, widths) and (source cost
-        # shape, source widths, destination widths).
-        self._node_cost_rows: Dict[Tuple[int, Tuple[int, ...]], Tuple[float, ...]] = {}
-        self._comm_columns: Dict[
-            Tuple[int, Tuple[int, ...], Tuple[int, ...]], Tuple[Tuple[float, ...], ...]
-        ] = {}
         # (graph version, digest): a graph grown by add_layer re-fingerprints.
         self._fingerprint: Optional[Tuple[int, str]] = None
 
@@ -180,16 +176,6 @@ class PlannerCostModel:
         """Compute plus gradient-sync time of a layer at a GPU count."""
         return self.comp(layer_id, num_gpus) + self.sync(layer_id, num_gpus)
 
-    def node_cost_row(self, layer_id: int, widths: Sequence[int]) -> Tuple[float, ...]:
-        """:meth:`node_cost` of the layer at each of ``widths``."""
-        key = (self.cost_shape(layer_id), tuple(widths))
-        row = self._node_cost_rows.get(key)
-        if row is None:
-            row = self._node_cost_rows[key] = tuple(
-                [self.node_cost(layer_id, g) for g in widths]
-            )
-        return row
-
     # -------------------------------------------------------------------- comm
     def activation_bytes(self, layer_id: int) -> float:
         """Total bytes of the layer's output activations for the global batch."""
@@ -206,27 +192,6 @@ class PlannerCostModel:
                 self.activation_bytes(src_layer), src_gpus, dst_gpus
             )
         return cached
-
-    def comm_columns(
-        self,
-        src_layer: int,
-        src_widths: Sequence[int],
-        dst_layer: int,
-        dst_widths: Sequence[int],
-    ) -> Tuple[Tuple[float, ...], ...]:
-        """:meth:`comm` from each source width, one column per destination width.
-
-        ``columns[j][k]`` is the cost from ``src_widths[k]`` to
-        ``dst_widths[j]``.
-        """
-        key = (self.cost_shape(src_layer), tuple(src_widths), tuple(dst_widths))
-        columns = self._comm_columns.get(key)
-        if columns is None:
-            columns = self._comm_columns[key] = tuple(
-                tuple([self.comm(src_layer, h, dst_layer, g) for h in src_widths])
-                for g in dst_widths
-            )
-        return columns
 
     # ------------------------------------------------------------------- amp
     def single_gpu_time(self, layer_id: int) -> float:
@@ -245,3 +210,53 @@ class PlannerCostModel:
         if base <= 0.0:
             return 0.0
         return stage_time * num_gpus / base
+
+
+class SearchRows:
+    """Row memos of one plan search, over a cost model's per-width memos.
+
+    Built once per search next to the shared block tables, and dropped with
+    the search's nodes.
+    """
+
+    def __init__(self, costs: PlannerCostModel) -> None:
+        self.costs = costs
+        # (cost shape, widths) and (source cost shape, source widths,
+        # destination widths).
+        self._node_cost_rows: Dict[Tuple[int, Tuple[int, ...]], Tuple[float, ...]] = {}
+        self._comm_columns: Dict[
+            Tuple[int, Tuple[int, ...], Tuple[int, ...]], Tuple[Tuple[float, ...], ...]
+        ] = {}
+
+    def node_cost_row(self, layer_id: int, widths: Sequence[int]) -> Tuple[float, ...]:
+        """:meth:`~PlannerCostModel.node_cost` of the layer at each of ``widths``."""
+        costs = self.costs
+        key = (costs.cost_shape(layer_id), tuple(widths))
+        row = self._node_cost_rows.get(key)
+        if row is None:
+            row = self._node_cost_rows[key] = tuple(
+                [costs.node_cost(layer_id, g) for g in widths]
+            )
+        return row
+
+    def comm_columns(
+        self,
+        src_layer: int,
+        src_widths: Sequence[int],
+        dst_layer: int,
+        dst_widths: Sequence[int],
+    ) -> Tuple[Tuple[float, ...], ...]:
+        """Redistribution costs from each source width, one column per destination width.
+
+        ``columns[j][k]`` is the cost from ``src_widths[k]`` to
+        ``dst_widths[j]``.
+        """
+        costs = self.costs
+        key = (costs.cost_shape(src_layer), tuple(src_widths), tuple(dst_widths))
+        columns = self._comm_columns.get(key)
+        if columns is None:
+            columns = self._comm_columns[key] = tuple(
+                tuple([costs.comm(src_layer, h, dst_layer, g) for h in src_widths])
+                for g in dst_widths
+            )
+        return columns

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ...models.graph import BranchBlock, ChainElement, ModelGraph
-from .costs import PlannerCostModel
+from .costs import PlannerCostModel, SearchRows
 from .linear_search import NodeDecision, chain_assignments, relax_chain
 from .plan import LayerAssignment
 
@@ -60,6 +60,7 @@ class LayerNode:
     costs: PlannerCostModel
     layer_id: int
     candidates: Sequence[int]
+    cost_rows: SearchRows
 
     def __post_init__(self) -> None:
         spec = self.costs.graph.spec(self.layer_id)
@@ -71,7 +72,7 @@ class LayerNode:
         return self.candidates
 
     def node_costs(self, widths: Sequence[int]) -> Sequence[float]:
-        return self.costs.node_cost_row(self.layer_id, widths)
+        return self.cost_rows.node_cost_row(self.layer_id, widths)
 
     def single_gpu_cost(self) -> float:
         return self.costs.comp(self.layer_id, 1)
@@ -83,7 +84,7 @@ class LayerNode:
         widths: Sequence[int],
     ) -> Sequence[Sequence[float]]:
         return _comm_columns(
-            self.costs, prev_exit_layer, prev_widths, self.layer_id, widths
+            self.cost_rows, prev_exit_layer, prev_widths, self.layer_id, widths
         )
 
     def assignments(
@@ -142,6 +143,7 @@ class BlockNode:
     candidates: Sequence[int]
     total_gpus: int
     amp_limit: float
+    cost_rows: SearchRows
     #: (g, h) -> schedule, shared by every block with the same signature in
     #: one search.
     table: Dict[Tuple[int, int], _Schedule] = field(default_factory=dict)
@@ -157,7 +159,7 @@ class BlockNode:
         return self.candidates
 
     def node_costs(self, widths: Sequence[int]) -> Sequence[float]:
-        return self.costs.node_cost_row(self.join_layer_id, widths)
+        return self.cost_rows.node_cost_row(self.join_layer_id, widths)
 
     def single_gpu_cost(self) -> float:
         return self.costs.comp(self.join_layer_id, 1)
@@ -213,7 +215,7 @@ class BlockNode:
             )
             for branch in self.branches
         ]
-        sink = _JoinSinkNode(self.costs, self.join_layer_id, self.candidates)
+        sink = _JoinSinkNode(self.cost_rows, self.join_layer_id, self.candidates)
         sink_rows = [rows.then([sink], self.amp_limit) for rows in branch_rows]
         # (branch index, last width) -> (decisions, widest width); join
         # widths share paths.
@@ -291,7 +293,7 @@ class _JoinSinkNode:
     branch's last row.
     """
 
-    costs: PlannerCostModel
+    cost_rows: SearchRows
     join_layer_id: int
     join_gpus: Sequence[int]
 
@@ -314,7 +316,7 @@ class _JoinSinkNode:
         widths: Sequence[int],
     ) -> Sequence[Sequence[float]]:
         return _comm_columns(
-            self.costs, prev_exit_layer, prev_widths, self.join_layer_id, widths
+            self.cost_rows, prev_exit_layer, prev_widths, self.join_layer_id, widths
         )
 
     def assignments(
@@ -324,7 +326,7 @@ class _JoinSinkNode:
 
 
 def _comm_columns(
-    costs: PlannerCostModel,
+    cost_rows: SearchRows,
     prev_exit_layer: Optional[int],
     prev_widths: Sequence[int],
     layer_id: int,
@@ -333,7 +335,7 @@ def _comm_columns(
     """Redistribution columns into ``layer_id``; free from the model input."""
     if prev_exit_layer is None:
         return ((0.0,) * len(prev_widths),) * len(widths)
-    return costs.comm_columns(prev_exit_layer, prev_widths, layer_id, widths)
+    return cost_rows.comm_columns(prev_exit_layer, prev_widths, layer_id, widths)
 
 
 def _chain_nodes(
@@ -343,6 +345,7 @@ def _chain_nodes(
     total_gpus: int,
     amp_limit: float,
     tables: Dict[Hashable, Dict[Tuple[int, int], _Schedule]],
+    cost_rows: SearchRows,
 ) -> Tuple[List[object], Tuple[Hashable, ...]]:
     """The chain's planner nodes and its signature (one entry per element).
 
@@ -353,11 +356,11 @@ def _chain_nodes(
     signature: List[Hashable] = []
     for element in chain:
         if not isinstance(element, BranchBlock):
-            nodes.append(LayerNode(costs, element, candidates))
+            nodes.append(LayerNode(costs, element, candidates, cost_rows))
             signature.append(costs.cost_shape(element))
             continue
         branches = [
-            _chain_nodes(branch, costs, candidates, total_gpus, amp_limit, tables)
+            _chain_nodes(branch, costs, candidates, total_gpus, amp_limit, tables, cost_rows)
             for branch in element.branches
         ]
         block_signature = (
@@ -376,6 +379,7 @@ def _chain_nodes(
                 candidates=candidates,
                 total_gpus=total_gpus,
                 amp_limit=amp_limit,
+                cost_rows=cost_rows,
                 table=tables.setdefault(block_signature, {}),
             )
         )
@@ -397,9 +401,11 @@ def build_chain_nodes(
     :class:`BlockNode`, and blocks with the same signature share one table.
     The structure comes from the graph's memoized
     :meth:`~repro.models.graph.ModelGraph.chain_reduction`; only the nodes,
-    which carry this search's widths and tables, are built per call.
+    which carry this search's widths, tables and cost rows, are built per
+    call.
     """
     nodes, _ = _chain_nodes(
-        graph.chain_reduction(), costs, candidates, total_gpus, amp_limit, {}
+        graph.chain_reduction(), costs, candidates, total_gpus, amp_limit, {},
+        SearchRows(costs),
     )
     return nodes

@@ -7,6 +7,12 @@ explicit branch/join structure, plus the helpers the planner's graph-reduction
 step (paper, Figure 7) needs to decompose a graph into a chain of
 branch/join blocks.
 
+A layer can only be fed by layers added before it, so every edge runs from
+a lower id to a higher one: the ids are a topological order by
+construction, and the graph cannot hold a cycle.  The graph is stored as
+sorted per-layer predecessor and successor lists, and the reduction finds
+dominators in one pass over a region in id order.
+
 The graph intentionally stores *static per-sample* quantities (FLOPs,
 parameter counts, activation sizes).  Everything batch- or hardware-dependent
 (kernel times, memory traffic in bytes for a given dtype) is computed by
@@ -16,10 +22,9 @@ PyTorch module description rather than embedding device costs in the model.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
-
-import networkx as nx
+from typing import Container, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "LayerSpec",
@@ -124,28 +129,33 @@ ChainElement = Union[int, BranchBlock]
 class ModelGraph:
     """A static DNN computation graph.
 
-    Nodes are integer layer ids in insertion order; each id maps to a
-    :class:`LayerSpec`.  Edges carry activations from producer to consumer.
-    The graph must be a single-source, single-sink DAG — the structure
-    DeepPool's planner assumes (an ``input`` pseudo-layer is the source and
-    the final classifier/softmax is the sink).
+    Nodes are integer layer ids ``0..n-1`` in insertion order; each id maps
+    to a :class:`LayerSpec`.  Edges carry activations from producer to
+    consumer, always from a lower id to a higher one.  The graph must be a
+    single-source, single-sink DAG — the structure DeepPool's planner
+    assumes (an ``input`` pseudo-layer is the source and the final
+    classifier/softmax is the sink).
+
+    Every per-layer query raises :class:`KeyError` for an id outside
+    ``0..n-1``.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._g = nx.DiGraph()
         self._specs: Dict[int, LayerSpec] = {}
-        self._next_id = 0
+        # Sorted producer and consumer ids per layer; an input listed twice
+        # is one edge.
+        self._preds: Dict[int, List[int]] = {}
+        self._succs: Dict[int, List[int]] = {}
         #: Bumped by every add_layer, so memos derived from the graph (cost
         #: models, plan fingerprints) can tell a grown graph from the one
         #: they were built for.
         self.version = 0
-        # Topology memos.  The planner asks for the topological order, the
-        # edges and the chain reduction on every search; the answers only
-        # change when a layer is added, so they are cached here and
-        # invalidated by add_layer.  List accessors return copies so a caller
-        # mutating its result cannot corrupt the memo.
-        self._topo_cache: Optional[List[int]] = None
+        # Topology memos.  The planner asks for the edges and the chain
+        # reduction on every search; the answers only change when a layer is
+        # added, so they are cached here and invalidated by add_layer.  List
+        # accessors return copies so a caller mutating its result cannot
+        # corrupt the memo.
         self._edges_cache: Optional[List[Tuple[int, int]]] = None
         self._reduction_cache: Optional[Tuple[ChainElement, ...]] = None
 
@@ -157,14 +167,14 @@ class ModelGraph:
                 raise GraphValidationError(
                     f"layer {spec.name!r} references unknown input id {src}"
                 )
-        lid = self._next_id
-        self._next_id += 1
+        lid = len(self._specs)
         self._specs[lid] = spec
-        self._g.add_node(lid)
-        for src in inputs:
-            self._g.add_edge(src, lid)
+        self._preds[lid] = sorted(set(inputs))
+        self._succs[lid] = []
+        for src in self._preds[lid]:
+            # The new id is the largest so far, so each list stays sorted.
+            self._succs[src].append(lid)
         self.version += 1
-        self._topo_cache = None
         self._edges_cache = None
         self._reduction_cache = None
         return lid
@@ -177,7 +187,7 @@ class ModelGraph:
         return layer_id in self._specs
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.topological_order())
+        return iter(range(len(self._specs)))
 
     def spec(self, layer_id: int) -> LayerSpec:
         """The :class:`LayerSpec` for a layer id."""
@@ -185,33 +195,31 @@ class ModelGraph:
 
     def specs(self) -> List[LayerSpec]:
         """All layer specs in topological order."""
-        return [self._specs[i] for i in self.topological_order()]
+        return list(self._specs.values())
 
     def layer_ids(self) -> List[int]:
         """All layer ids in topological order."""
         return self.topological_order()
 
     def predecessors(self, layer_id: int) -> List[int]:
-        return sorted(self._g.predecessors(layer_id))
+        return list(self._preds[layer_id])
 
     def successors(self, layer_id: int) -> List[int]:
-        return sorted(self._g.successors(layer_id))
+        return list(self._succs[layer_id])
 
     def in_degree(self, layer_id: int) -> int:
-        return self._g.in_degree(layer_id)
+        return len(self._preds[layer_id])
 
     def out_degree(self, layer_id: int) -> int:
-        return self._g.out_degree(layer_id)
+        return len(self._succs[layer_id])
 
     def topological_order(self) -> List[int]:
-        """Layer ids in a deterministic topological order (by id)."""
-        if self._topo_cache is None:
-            self._topo_cache = list(nx.lexicographical_topological_sort(self._g))
-        return list(self._topo_cache)
+        """Layer ids in topological order: ``0..n-1``, by construction."""
+        return list(range(len(self._specs)))
 
     def source(self) -> int:
         """The unique source layer (usually the ``input`` pseudo-layer)."""
-        sources = [n for n in self._g.nodes if self._g.in_degree(n) == 0]
+        sources = [lid for lid, preds in self._preds.items() if not preds]
         if len(sources) != 1:
             raise GraphValidationError(
                 f"model {self.name!r} has {len(sources)} sources; expected 1"
@@ -220,7 +228,7 @@ class ModelGraph:
 
     def sink(self) -> int:
         """The unique sink layer (usually the classifier / softmax)."""
-        sinks = [n for n in self._g.nodes if self._g.out_degree(n) == 0]
+        sinks = [lid for lid, succs in self._succs.items() if not succs]
         if len(sinks) != 1:
             raise GraphValidationError(
                 f"model {self.name!r} has {len(sinks)} sinks; expected 1"
@@ -229,26 +237,27 @@ class ModelGraph:
 
     def is_chain(self) -> bool:
         """True if every layer has at most one predecessor and successor."""
-        return all(
-            self._g.in_degree(n) <= 1 and self._g.out_degree(n) <= 1
-            for n in self._g.nodes
+        return all(len(preds) <= 1 for preds in self._preds.values()) and all(
+            len(succs) <= 1 for succs in self._succs.values()
         )
 
     def branch_layers(self) -> List[int]:
         """Layers whose output fans out to more than one consumer."""
-        return sorted(n for n in self._g.nodes if self._g.out_degree(n) > 1)
+        return [lid for lid, succs in self._succs.items() if len(succs) > 1]
 
     def join_layers(self) -> List[int]:
         """Layers consuming more than one producer's output."""
-        return sorted(n for n in self._g.nodes if self._g.in_degree(n) > 1)
+        return [lid for lid, preds in self._preds.items() if len(preds) > 1]
 
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`GraphValidationError`."""
+        """Check structural invariants; raise :class:`GraphValidationError`.
+
+        No cycle check: add_layer only accepts inputs that already exist, so
+        every edge runs from a lower id to a higher one.
+        """
         if len(self._specs) == 0:
             raise GraphValidationError(f"model {self.name!r} is empty")
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise GraphValidationError(f"model {self.name!r} contains a cycle")
-        if not nx.is_weakly_connected(self._g):
+        if len(self._weak_component(0, self._specs)) != len(self._specs):
             raise GraphValidationError(f"model {self.name!r} is disconnected")
         self.source()
         self.sink()
@@ -258,6 +267,18 @@ class ModelGraph:
             raise GraphValidationError(
                 f"model {self.name!r} has duplicate layer names: {dupes}"
             )
+
+    def _weak_component(self, start: int, inside: Container[int]) -> List[int]:
+        """Sorted layers of ``inside`` linked to ``start`` by edges within it."""
+        component = [start]
+        seen = {start}
+        for lid in component:  # grows while it is walked: a BFS
+            for other in self._preds[lid] + self._succs[lid]:
+                if other in inside and other not in seen:
+                    seen.add(other)
+                    component.append(other)
+        component.sort()
+        return component
 
     # ------------------------------------------------------------- aggregates
     def total_params(self) -> int:
@@ -295,16 +316,29 @@ class ModelGraph:
 
     def subgraph_between(self, start: int, end: int) -> List[int]:
         """Layer ids on any path from ``start`` to ``end`` (inclusive)."""
+        for lid in (start, end):
+            if lid not in self._specs:
+                raise KeyError(lid)
         if start == end:
             return [start]
-        nodes = (nx.descendants(self._g, start) | {start}) & (
-            nx.ancestors(self._g, end) | {end}
-        )
-        return [n for n in self.topological_order() if n in nodes]
+        # Every path from start to end runs through ids between the two.
+        reached = {start}
+        for lid in range(start, end):
+            if lid in reached:
+                reached.update(s for s in self._succs[lid] if s <= end)
+        if end not in reached:
+            return []
+        on_path = {end}
+        for lid in range(end, start, -1):
+            if lid in on_path:
+                on_path.update(p for p in self._preds[lid] if p in reached)
+        return sorted(on_path)
 
     def edges(self) -> List[Tuple[int, int]]:
         if self._edges_cache is None:
-            self._edges_cache = sorted(self._g.edges())
+            self._edges_cache = [
+                (src, dst) for src, succs in self._succs.items() for dst in succs
+            ]
         return list(self._edges_cache)
 
     def chain_reduction(self) -> Tuple[ChainElement, ...]:
@@ -317,6 +351,10 @@ class ModelGraph:
         (the split tails inside InceptionE) reduce naturally.  A chain model
         reduces to its layer ids.
 
+        Layer ids are a topological order by construction, so each region's
+        immediate dominators come from one pass over its layers in id order,
+        and its entry and exit are its lowest and highest ids.
+
         The graph is validated first.  The result is immutable and memoized
         until the next :meth:`add_layer`.
 
@@ -327,80 +365,95 @@ class ModelGraph:
         """
         if self._reduction_cache is None:
             self.validate()
-            order = self.topological_order()
-            self._reduction_cache = self._reduce(
-                set(order), self.source(), self.sink(), order,
-                {lid: i for i, lid in enumerate(order)},
-            )
+            self._reduction_cache = self._reduce(self.topological_order())
         return self._reduction_cache
 
-    def _reduce(
-        self,
-        nodes: Set[int],
-        source: int,
-        sink: int,
-        order: List[int],
-        position: Dict[int, int],
-    ) -> Tuple[ChainElement, ...]:
-        """Chain reduction of the single-entry, single-exit subgraph ``nodes``.
+    def _reduce(self, region: List[int]) -> Tuple[ChainElement, ...]:
+        """Chain reduction of a single-entry, single-exit region.
 
-        ``order`` is the graph's topological order and ``position`` each
-        layer's index in it.
+        ``region`` holds the region's layer ids in ascending order: every
+        other layer has a predecessor in the region, so the entry is the
+        first id, and likewise the exit is the last.
         """
-        if len(nodes) == 1:
+        source, sink = region[0], region[-1]
+        if len(region) == 1:
             return (source,)
-        idom = nx.immediate_dominators(self._g.subgraph(nodes), source)
+        idom = self._immediate_dominators(region)
         trunk = [sink]
         while trunk[-1] != source:
             trunk.append(idom[trunk[-1]])
         trunk.reverse()
 
-        chain: List[ChainElement] = [trunk[0]]
+        reduced: List[ChainElement] = [source]
         for upper, lower in zip(trunk, trunk[1:]):
-            # Every layer of the subgraph lies on a source-to-sink path, and
+            # Every layer of the region lies on a source-to-sink path, and
             # every such path passes through both trunk layers; so the layers
             # on a path from upper to lower are exactly those ordered
             # strictly between them.
-            between = [
-                n for n in order[position[upper] + 1 : position[lower]] if n in nodes
-            ]
+            between = region[bisect_right(region, upper) : bisect_left(region, lower)]
             if not between:
-                chain.append(lower)
+                reduced.append(lower)
                 continue
-            components = [
-                sorted(comp, key=position.__getitem__)
-                for comp in nx.weakly_connected_components(self._g.subgraph(between))
-            ]
-            components.sort(key=lambda c: c[0])
-            chain.append(
+            # Each component is found from its lowest id, so they come out
+            # ordered by first layer.
+            unassigned = set(between)
+            components = []
+            for lid in between:
+                if lid in unassigned:
+                    component = self._weak_component(lid, unassigned)
+                    unassigned.difference_update(component)
+                    components.append(component)
+            reduced.append(
                 BranchBlock(
                     branch_layer=upper,
                     join_layer=lower,
-                    branches=tuple(
-                        self._reduce_branch(comp, order, position) for comp in components
-                    ),
-                    has_identity_branch=self._g.has_edge(upper, lower),
+                    branches=tuple(self._reduce_branch(comp) for comp in components),
+                    has_identity_branch=upper in self._preds[lower],
                 )
             )
-        return tuple(chain)
+        return tuple(reduced)
 
-    def _reduce_branch(
-        self, component: List[int], order: List[int], position: Dict[int, int]
-    ) -> Tuple[ChainElement, ...]:
-        comp_set = set(component)
+    def _immediate_dominators(self, region: List[int]) -> Dict[int, int]:
+        """Each layer's immediate dominator in a single-entry region (sorted ids).
+
+        The entry maps to itself.  A layer's immediate dominator is the
+        nearest common dominator of its in-region predecessors, all of which
+        come before it, so one pass in id order finds them all.  A dominator
+        has a lower id than the layers it dominates, so the walk up to the
+        common one compares ids.
+        """
+        idom = {region[0]: region[0]}
+        for lid in region[1:]:
+            dom = None
+            for pred in self._preds[lid]:
+                if pred not in idom:  # outside the region
+                    continue
+                if dom is None:
+                    dom = pred
+                    continue
+                while pred != dom:
+                    while pred > dom:
+                        pred = idom[pred]
+                    while dom > pred:
+                        dom = idom[dom]
+            idom[lid] = dom
+        return idom
+
+    def _reduce_branch(self, component: List[int]) -> Tuple[ChainElement, ...]:
+        members = set(component)
         sources = [
-            n for n in component if not any(p in comp_set for p in self._g.predecessors(n))
+            n for n in component if not any(p in members for p in self._preds[n])
         ]
         sinks = [
-            n for n in component if not any(s in comp_set for s in self._g.successors(n))
+            n for n in component if not any(s in members for s in self._succs[n])
         ]
         if len(sources) != 1 or len(sinks) != 1:
             raise GraphValidationError(
-                f"branch component {sorted(component)} has {len(sources)} sources and "
+                f"branch component {component} has {len(sources)} sources and "
                 f"{len(sinks)} sinks; the graph reduction requires single-entry "
                 "single-exit branches"
             )
-        return self._reduce(comp_set, sources[0], sinks[0], order, position)
+        return self._reduce(component)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

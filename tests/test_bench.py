@@ -1,6 +1,7 @@
 """Tests for the repro.bench performance harness."""
 
 import json
+import statistics
 import time
 
 import pytest
@@ -506,16 +507,22 @@ class TestCachedProfileSpeedup:
         assert warm < cold * 0.8
 
     def test_grid_scenario_not_slower_with_caches(self):
-        """End-to-end guard: the cached grid never loses to the cold path."""
+        """End-to-end guard: the cached grid never loses to the cold path.
+
+        One run takes a few tens of milliseconds, so a single slow run says
+        more about the host than about the caches: the guard compares the
+        medians of alternated cached and uncached runs.
+        """
         overrides = {"models": ["resnet50"], "gpu_counts": [1, 2, 4, 8]}
-        cached = run_scenario(
-            "planner_grid", overrides=dict(overrides, cached=True), repeats=2
-        )
-        uncached = run_scenario(
-            "planner_grid", overrides=dict(overrides, cached=False), repeats=2
-        )
+        cached, uncached = [], []
+        for _ in range(9):
+            for enabled, times in ((True, cached), (False, uncached)):
+                artifact = run_scenario(
+                    "planner_grid", overrides=dict(overrides, cached=enabled)
+                )
+                times.append(artifact.wall_time_s)
         # Generous margin: the win is ~10% locally, but CI machines are noisy.
-        assert cached.wall_time_s <= uncached.wall_time_s * 1.2
+        assert statistics.median(cached) <= statistics.median(uncached) * 1.2
 
 
 #: Scaled-down sched_sim_xxl parameters (the defaults simulate 16k GPUs).

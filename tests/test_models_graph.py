@@ -87,6 +87,29 @@ class TestModelGraphChain:
         assert g.num_operator_layers() == 3
         assert g.num_weight_layers() == 3
 
+    @pytest.mark.parametrize("layer_id", [-1, -5, 5, 999])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g, lid: g.spec(lid),
+            lambda g, lid: g.predecessors(lid),
+            lambda g, lid: g.successors(lid),
+            lambda g, lid: g.in_degree(lid),
+            lambda g, lid: g.out_degree(lid),
+            lambda g, lid: g.subgraph_between(lid, 4),
+            lambda g, lid: g.subgraph_between(0, lid),
+            lambda g, lid: g.subgraph_between(lid, lid),
+        ],
+        ids=[
+            "spec", "predecessors", "successors", "in_degree", "out_degree",
+            "subgraph_between_start", "subgraph_between_end", "subgraph_between_same",
+        ],
+    )
+    def test_unknown_layer_id_raises_key_error(self, query, layer_id):
+        g = self.build_chain()  # ids 0..4
+        with pytest.raises(KeyError):
+            query(g, layer_id)
+
     def test_unknown_input_rejected(self):
         g = ModelGraph("bad")
         g.add_layer(make_spec(name="input", op="input"))

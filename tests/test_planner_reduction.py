@@ -22,6 +22,7 @@ from repro.core.planner import (
     candidate_gpu_counts,
     solve_chain,
 )
+from repro.core.planner.costs import SearchRows
 from repro.core.planner.graph_reduction import LayerNode, _JoinSinkNode
 from repro.core.planner.linear_search import chain_assignments
 from repro.core.planner.plan import LayerAssignment
@@ -77,7 +78,7 @@ class ReferenceBlock:
         if not nodes:
             time = self.costs.comm(self.block.branch_layer, g, self.block.join_layer, h)
             return time, 0, [], True
-        sink = _JoinSinkNode(self.costs, self.block.join_layer, [h])
+        sink = _JoinSinkNode(SearchRows(self.costs), self.block.join_layer, [h])
         solution = solve_chain(
             list(nodes) + [sink],
             amp_limit=self.amp_limit,
@@ -128,7 +129,7 @@ def reference_nodes(chain, costs, candidates, total_gpus, amp_limit):
                 ReferenceBlock(costs, element, branches, candidates, total_gpus, amp_limit)
             )
         else:
-            nodes.append(LayerNode(costs, element, candidates))
+            nodes.append(LayerNode(costs, element, candidates, SearchRows(costs)))
     return nodes
 
 
