@@ -17,7 +17,10 @@ The memos are keyed by a layer's *cost shape*, not its id: the layer's
 small int per cost model.  The profiler, the collectives model and the
 redistribution model read nothing else of a layer, so two layers with the
 same cost shape have identical costs at every width, and each distinct shape
-is priced once (ResNet-101's 346 layers have 56 cost shapes).
+is priced once (ResNet-101's 346 layers have 56 cost shapes).  Each memo
+is reached through a shape-keyed method (:meth:`~PlannerCostModel.shape_comp`,
+``shape_sync``, ``shape_comm``); the layer-id methods resolve the shape and
+call it.
 
 The chain search reads whole rows rather than single values, so one
 search's :class:`SearchRows` keeps two more memos, built only from the
@@ -153,43 +156,56 @@ class PlannerCostModel:
     # --------------------------------------------------------------- comp/sync
     def comp(self, layer_id: int, num_gpus: int) -> float:
         """``comp(i, g)``: fwd+bwd compute time of the layer on ``g`` GPUs."""
-        key = (self.cost_shape(layer_id), num_gpus)
-        cached = self._comp_cache.get(key)
-        if cached is None:
-            timing = self.profiler.layer_timing(
-                self._shape_specs[key[0]], per_gpu_batch(self.global_batch, num_gpus)
-            )
-            cached = self._comp_cache[key] = timing.total_time
-        return cached
+        return self.shape_comp(self.cost_shape(layer_id), num_gpus)
 
     def sync(self, layer_id: int, num_gpus: int) -> float:
         """``sync(i, g)``: gradient all-reduce time for the layer's parameters."""
-        key = (self.cost_shape(layer_id), num_gpus)
-        cached = self._sync_cache.get(key)
-        if cached is None:
-            cached = self._sync_cache[key] = self.collectives.gradient_sync_time(
-                self._shape_specs[key[0]].params, num_gpus, self.dtype_bytes
-            )
-        return cached
+        return self.shape_sync(self.cost_shape(layer_id), num_gpus)
 
     def node_cost(self, layer_id: int, num_gpus: int) -> float:
         """Compute plus gradient-sync time of a layer at a GPU count."""
         return self.comp(layer_id, num_gpus) + self.sync(layer_id, num_gpus)
 
-    # -------------------------------------------------------------------- comm
-    def activation_bytes(self, layer_id: int) -> float:
-        """Total bytes of the layer's output activations for the global batch."""
-        spec = self.graph.spec(layer_id)
-        return float(spec.output_elems_per_sample) * self.global_batch * self.dtype_bytes
+    def shape_comp(self, shape: int, num_gpus: int) -> float:
+        """:meth:`comp` of every layer of a cost shape."""
+        key = (shape, num_gpus)
+        cached = self._comp_cache.get(key)
+        if cached is None:
+            timing = self.profiler.layer_timing(
+                self._shape_specs[shape], per_gpu_batch(self.global_batch, num_gpus)
+            )
+            cached = self._comp_cache[key] = timing.total_time
+        return cached
 
+    def shape_sync(self, shape: int, num_gpus: int) -> float:
+        """:meth:`sync` of every layer of a cost shape."""
+        key = (shape, num_gpus)
+        cached = self._sync_cache.get(key)
+        if cached is None:
+            cached = self._sync_cache[key] = self.collectives.gradient_sync_time(
+                self._shape_specs[shape].params, num_gpus, self.dtype_bytes
+            )
+        return cached
+
+    # -------------------------------------------------------------------- comm
     def comm(self, src_layer: int, src_gpus: int, dst_layer: int, dst_gpus: int) -> float:
         """``comm(i, g) -> (j, h)``: redistribution cost between two layers."""
         del dst_layer  # cost depends only on the producer's activation volume
-        key = (self.cost_shape(src_layer), src_gpus, dst_gpus)
+        return self.shape_comm(self.cost_shape(src_layer), src_gpus, dst_gpus)
+
+    def shape_comm(self, src_shape: int, src_gpus: int, dst_gpus: int) -> float:
+        """:meth:`comm` from every layer of a cost shape.
+
+        The volume moved is the producer's output activations for the
+        global batch.
+        """
+        key = (src_shape, src_gpus, dst_gpus)
         cached = self._comm_cache.get(key)
         if cached is None:
+            spec = self._shape_specs[src_shape]
+            volume = float(spec.output_elems_per_sample) * self.global_batch * self.dtype_bytes
             cached = self._comm_cache[key] = self.redistribution.transition_time(
-                self.activation_bytes(src_layer), src_gpus, dst_gpus
+                volume, src_gpus, dst_gpus
             )
         return cached
 
@@ -231,11 +247,13 @@ class SearchRows:
     def node_cost_row(self, layer_id: int, widths: Sequence[int]) -> Tuple[float, ...]:
         """:meth:`~PlannerCostModel.node_cost` of the layer at each of ``widths``."""
         costs = self.costs
-        key = (costs.cost_shape(layer_id), tuple(widths))
+        shape = costs.cost_shape(layer_id)
+        key = (shape, tuple(widths))
         row = self._node_cost_rows.get(key)
         if row is None:
+            comp, sync = costs.shape_comp, costs.shape_sync
             row = self._node_cost_rows[key] = tuple(
-                [costs.node_cost(layer_id, g) for g in widths]
+                [comp(shape, g) + sync(shape, g) for g in widths]
             )
         return row
 
@@ -251,12 +269,14 @@ class SearchRows:
         ``columns[j][k]`` is the cost from ``src_widths[k]`` to
         ``dst_widths[j]``.
         """
+        del dst_layer  # cost depends only on the producer's activation volume
         costs = self.costs
-        key = (costs.cost_shape(src_layer), tuple(src_widths), tuple(dst_widths))
+        shape = costs.cost_shape(src_layer)
+        key = (shape, tuple(src_widths), tuple(dst_widths))
         columns = self._comm_columns.get(key)
         if columns is None:
+            comm = costs.shape_comm
             columns = self._comm_columns[key] = tuple(
-                tuple([costs.comm(src_layer, h, dst_layer, g) for h in src_widths])
-                for g in dst_widths
+                tuple([comm(shape, h, g) for h in src_widths]) for g in dst_widths
             )
         return columns

@@ -102,11 +102,47 @@ _EXPAND_PRICED = global_registry().counter("sched.expand.priced")
 _NO_REACH: Dict[str, "_Reach"] = {}
 
 
+#: The shared ``guest_order`` of every job that has hosted no guest since
+#: its last placement.  Never mutated: the first guest to attach gives its
+#: host a list of its own (:meth:`SchedulerEngine._attach_background`), and
+#: a new placement, a cancellation or a kill puts the job back on this one.
+_NO_GUESTS = SortedJobList()
+
+
 class _JobState:
-    """Mutable per-job simulation state (one instance per trace job per run)."""
+    """Mutable per-job simulation state (one instance per trace job per run).
+
+    A flat, slotted record.  The trace fields that policies and the engine
+    read on every pass (``name``, ``is_foreground``, ``arrival_time``,
+    ``global_batch`` and ``max_gpus``) are copied from the read-only
+    :class:`TraceJob` once, here, so a read is one slot load rather than a
+    property call (two for ``is_foreground``, itself a property of the
+    trace job).  The rest of the trace (``model``, ``iterations``, ``kind``,
+    ``amplification_limit``) is read through :attr:`trace`.
+
+    ``guest_order`` starts as the shared empty :data:`_NO_GUESTS`: most
+    jobs never host a guest, so a list is built only on first attach.
+    """
+
+    __slots__ = (
+        "trace", "name", "is_foreground", "arrival_time", "global_batch",
+        "max_gpus", "order", "iso_iter_time", "status", "remaining", "version",
+        "last_update", "rate", "start_time", "width", "gpu_ids", "gpu_type",
+        "plan", "base_iter_time", "work_per_iteration", "busy_fractions",
+        "hosted", "guest_order", "reach", "host", "host_index",
+        "placed_iso_time", "ckpt_remaining", "next_checkpoint", "penalty_until",
+        "pending_restart_penalty", "preemptions", "replans", "restarts",
+        "busy_gpu_seconds", "allocated_gpu_seconds", "lost_gpu_seconds",
+    )
 
     def __init__(self, trace: TraceJob, order: int, iso_iter_time: float) -> None:
         self.trace = trace
+        # Attributes policies read (duck-typed), copied once.
+        self.name = trace.name
+        self.is_foreground = trace.is_foreground
+        self.arrival_time = trace.arrival_time
+        self.global_batch = trace.global_batch
+        self.max_gpus = trace.max_gpus
         self.order = order
         #: Single-GPU time per iteration on the fleet's reference (fastest)
         #: pool; the work estimate policies sort by.
@@ -127,7 +163,7 @@ class _JobState:
         self.busy_fractions: List[float] = []
         self.hosted: Dict[int, "_JobState"] = {}  # local GPU index -> bg job
         #: Guests ordered by arrival order, maintained on attach/detach.
-        self.guest_order = SortedJobList()
+        self.guest_order = _NO_GUESTS
         #: Pools where a wider or faster plan may still beat the current
         #: one, fastest-first after the job's own pool (derived state, reset
         #: at every plan install; see ``SchedulerEngine._expand_running``).
@@ -151,35 +187,10 @@ class _JobState:
         self.allocated_gpu_seconds = 0.0
         self.lost_gpu_seconds = 0.0
 
-    # Attributes policies read (duck-typed).
-    @property
-    def name(self) -> str:
-        return self.trace.name
-
-    @property
-    def is_foreground(self) -> bool:
-        return self.trace.is_foreground
-
-    @property
-    def arrival_time(self) -> float:
-        return self.trace.arrival_time
-
-    @property
-    def global_batch(self) -> int:
-        return self.trace.global_batch
-
-    @property
-    def max_gpus(self) -> Optional[int]:
-        return self.trace.max_gpus
-
     @property
     def remaining_gpu_seconds(self) -> float:
         """Estimated single-GPU compute remaining (the policy sort key)."""
         return self.remaining * self.iso_iter_time
-
-    @property
-    def collocated(self) -> bool:
-        return self.host is not None
 
 
 @dataclass(frozen=True)
@@ -456,7 +467,7 @@ class SchedulerEngine:
             if self._recorder is not None:
                 self._recorder.emit(now, EV_CANCEL, job=state.name, detail="pending")
         else:
-            if state.collocated:
+            if state.host is not None:
                 self._release(state, now, _CANCELLED, EV_CANCEL, detail="collocated")
             else:
                 self._release(
@@ -467,7 +478,7 @@ class SchedulerEngine:
             # the guest ordering; snapshot payloads carry both fields.
             state.gpu_type = None
             if state.is_foreground:
-                state.guest_order = SortedJobList()
+                state.guest_order = _NO_GUESTS
             state.version += 1
         self._schedule_point(now)
         return True
@@ -591,7 +602,7 @@ class SchedulerEngine:
         state.busy_gpu_seconds += done * state.work_per_iteration
         if state.is_foreground:
             state.allocated_gpu_seconds += (now - start) * state.width
-        elif not state.collocated:
+        elif state.host is None:
             state.allocated_gpu_seconds += now - start
         # The job's remaining work moved: keep its registry position honest.
         if state in self.fg_running:
@@ -608,9 +619,9 @@ class SchedulerEngine:
         if state.is_foreground:
             slowdown = profile.fg_slowdown if state.hosted else 1.0
             return 1.0 / (state.base_iter_time * slowdown)
-        if state.collocated:
-            assert state.host is not None
-            busy = state.host.busy_fractions[state.host_index]
+        host = state.host
+        if host is not None:
+            busy = host.busy_fractions[state.host_index]
             efficiency = (
                 (1.0 - busy) * profile.bg_idle_efficiency
                 + busy * profile.bg_busy_efficiency
@@ -756,7 +767,7 @@ class SchedulerEngine:
         state.gpu_ids = self._take_gpus(state, gpu_pool, width, now)
         self._install_plan(state, plan, gpu_pool)
         state.hosted = {}
-        state.guest_order = SortedJobList()
+        state.guest_order = _NO_GUESTS
         if self.open_slots is not None:
             self.open_slots.open(state)
         if self._recorder is not None:
@@ -794,6 +805,8 @@ class SchedulerEngine:
         """Collocate a background job onto one GPU of a running foreground job."""
         first_guest = not host.hosted
         host.hosted[index] = state
+        if host.guest_order is _NO_GUESTS:
+            host.guest_order = SortedJobList()
         host.guest_order.add(state, (state.order,))
         assert self.open_slots is not None
         self.open_slots.refresh(host)
@@ -901,7 +914,7 @@ class SchedulerEngine:
         state.gpu_type = None
         if state.is_foreground:
             state.hosted = {}
-            state.guest_order = SortedJobList()
+            state.guest_order = _NO_GUESTS
         state.status = _PENDING
         state.version += 1
         self.pending.add(state, now)
@@ -954,7 +967,7 @@ class SchedulerEngine:
             self._leave_frontier(state)
             if self.open_slots is not None:
                 self.open_slots.close(state)
-        elif not state.collocated:
+        elif state.host is None:
             self.bg_dedicated.remove(state)
         self._advance(state, now)
         state.status = status

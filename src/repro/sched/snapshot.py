@@ -49,6 +49,7 @@ from ..cache.fingerprint import (
 )
 from ..cluster.job import JobKind
 from .metrics import JobRecord
+from .ordering import SortedJobList
 from .traces import TraceJob
 
 __all__ = [
@@ -65,6 +66,10 @@ __all__ = [
 
 #: Bumped whenever the payload layout changes; restore rejects other schemas.
 SNAPSHOT_SCHEMA = 1
+
+#: The ``guest_order`` row of a job that has hosted no guest since its last
+#: placement.
+_EMPTY_GUEST_ORDER = SortedJobList().dump()
 
 # Restore maps status strings back onto the engine's module-level constants:
 # the arrival handler tests ``status is not _PENDING`` by identity, and
@@ -335,7 +340,11 @@ class EngineSnapshot:
         for row in rows:
             state = states[row["trace"]["name"]]
             state.hosted = {index: states[name] for index, name in row["hosted"]}
-            state.guest_order.load(row["guest_order"], states.__getitem__)
+            if row["guest_order"] != _EMPTY_GUEST_ORDER:
+                # A fresh list dumps like the shared empty one, which is
+                # never loaded into: only a job that hosted keeps its own.
+                state.guest_order = SortedJobList()
+                state.guest_order.load(row["guest_order"], states.__getitem__)
             host = row["host"]
             state.host = states[host] if host is not None else None
 

@@ -10,7 +10,12 @@ same takes, the same pop order and the same snapshot payloads.
 
 The conservation test steps a mixed trace with host failures on a two-pool
 fleet and checks, after every event, that each pool's GPUs are split
-exactly into free, held by running jobs, and down.
+exactly into free, held by running jobs, and down.  Beside it, a registry
+audit checks that the running registries and the pending queue hold
+exactly the jobs their status and kind say, and that hosts and guests
+agree: each host's ``guest_order`` is its ``hosted`` guests in arrival
+order, and only a job a guest has attached to since its last placement
+holds a guest list of its own.
 """
 
 import heapq
@@ -33,6 +38,7 @@ from repro.sched import (
     inject_failures,
     synthetic_trace,
 )
+from repro.sched.engine import _NO_GUESTS
 from repro.sched.events import Event, EventKind, EventQueue, GpuPool
 
 
@@ -284,6 +290,62 @@ def _assert_conserved(engine: SchedulerEngine) -> None:
         assert free_set | held_set | down_not_free == pool_ids
 
 
+def _assert_registries_agree(engine: SchedulerEngine, arrived: set) -> None:
+    """Registry, status and guest agreement.
+
+    ``arrived`` holds the names of the jobs whose arrival event has popped.
+    """
+    fg = {s.name for s in engine.fg_running}
+    bg = {s.name for s in engine.bg_dedicated}
+    pending = {s.name for s in engine.pending}
+    assert len(fg) == len(engine.fg_running) and len(bg) == len(engine.bg_dedicated)
+    assert engine.pending.foreground_waiting == sum(
+        1 for s in engine.pending if s.is_foreground
+    )
+    for state in engine.states.values():
+        running = state.status == "running"
+        assert (state.name in fg) == (running and state.is_foreground)
+        assert (state.name in bg) == (
+            running and not state.is_foreground and state.host is None
+        )
+        assert (state.name in pending) == (
+            state.status == "pending" and state.name in arrived
+        )
+        guests = state.guest_order
+        assert list(guests) == sorted(state.hosted.values(), key=lambda g: g.order)
+        # A list of its own exists exactly when a guest has attached since
+        # the job's last placement (the list's seq counts those attaches).
+        assert (guests is _NO_GUESTS) == (guests._next_seq == 0)
+        if not state.is_foreground or state.status in ("pending", "cancelled"):
+            # Killed and cancelled hosts drop their guest list.
+            assert guests is _NO_GUESTS and not state.hosted
+        if state.hosted:
+            assert state.name in fg
+        for index, guest in state.hosted.items():
+            assert guest.host is state and guest.host_index == index
+            assert guest.gpu_ids == [state.gpu_ids[index]]
+        if state.host is not None:
+            assert running and not state.is_foreground
+            assert state.host.hosted[state.host_index] is state
+
+
+def _run_audited(engine: SchedulerEngine) -> int:
+    """Step to quiescence, checking GPUs and registries after every step."""
+    arrived: set = set()
+    _assert_conserved(engine)
+    _assert_registries_agree(engine, arrived)
+    steps = 0
+    while engine.queue:
+        event = engine.step()
+        if event.kind is EventKind.JOB_ARRIVAL:
+            arrived.add(event.job_name)
+        _assert_conserved(engine)
+        _assert_registries_agree(engine, arrived)
+        steps += 1
+    assert len(_NO_GUESTS) == 0 and _NO_GUESTS._next_seq == 0
+    return steps
+
+
 class TestGpuConservation:
     @pytest.mark.parametrize("policy", ["fifo", "srgs", "collocation"])
     @pytest.mark.parametrize("seed", [1, 7])
@@ -297,15 +359,29 @@ class TestGpuConservation:
         for job in trace:
             engine.add_job(job)
         assert engine.add_failures(failures) == 3
-        _assert_conserved(engine)
-        steps = 0
-        while engine.queue:
-            engine.step()
-            _assert_conserved(engine)
-            steps += 1
+        steps = _run_audited(engine)
         assert steps == engine.queue.popped
         assert engine.free.free_ids() == list(range(sched.fleet.num_gpus))
         assert engine.free.down_ids() == []
+
+    def test_collocation_run_with_failures_preemptions_and_rollbacks(self):
+        # Background-heavy, so guests attach, leave and are evicted by host
+        # failures while dedicated background jobs are preempted.
+        sched = _scheduler()
+        trace = synthetic_trace(40, seed=1, arrival_rate=4.0, bg_fraction=0.6)
+        failures = inject_failures(
+            sched.fleet, 3, seed=1, window=(1.0, 15.0), mean_downtime=8.0
+        )
+        engine = SchedulerEngine(sched, "collocation")
+        for job in trace:
+            engine.add_job(job)
+        engine.add_failures(failures)
+        _run_audited(engine)
+        records = engine.result().records
+        assert sum(r.preemptions for r in records) > 0
+        assert sum(r.restarts for r in records) > 0  # checkpoint rollbacks
+        hosts = [s for s in engine.states.values() if s.guest_order is not _NO_GUESTS]
+        assert hosts and all(not s.hosted for s in hosts)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(
@@ -325,7 +401,5 @@ class TestGpuConservation:
         for job in trace:
             engine.add_job(job)
         engine.add_failures(failures)
-        while engine.queue:
-            engine.step()
-            _assert_conserved(engine)
+        _run_audited(engine)
         assert engine.free.free_ids() == list(range(sched.fleet.num_gpus))

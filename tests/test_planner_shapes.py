@@ -24,6 +24,7 @@ from repro.core.planner import (
     linear_search,
     solve_chain,
 )
+from repro.core.planner.costs import SearchRows
 from repro.core.planner.linear_search import chain_assignments
 from repro.models import registry
 from repro.models.graph import LayerSpec, ModelGraph
@@ -246,6 +247,28 @@ class TestNoFalseSharing:
         assert costs.cost_shape(ids["x1_0"]) == costs.cost_shape(ids["x1_1"])
         assert costs.cost_shape(ids["x2_0"]) != costs.cost_shape(ids["x2_1"])
         assert costs.cost_shape(ids["x1_0"]) != costs.cost_shape(ids["y1_0"])
+
+    def test_row_memos_resolve_the_shape_once_per_row(self, monkeypatch):
+        graph = build_block_chain([_spec("b")] * 2, [4_000, 3_000_000])
+        costs = PlannerCostModel(graph=graph, global_batch=64, fabric=get_fabric("nvswitch"))
+        ids = {graph.spec(i).name: i for i in graph.layer_ids()}
+        widths, dst_widths = [1, 2, 4, 8], [1, 4, 16]
+        expected_row = [costs.node_cost(ids["x2_1"], g) for g in widths]
+        expected_columns = [
+            [costs.comm(ids["b0"], h, ids["x1_0"], g) for h in widths] for g in dst_widths
+        ]
+        calls = []
+        resolve = PlannerCostModel.cost_shape
+        monkeypatch.setattr(
+            PlannerCostModel, "cost_shape",
+            lambda self, layer_id: calls.append(layer_id) or resolve(self, layer_id),
+        )
+        rows = SearchRows(costs)
+        assert list(rows.node_cost_row(ids["x2_1"], widths)) == expected_row
+        assert calls == [ids["x2_1"]]
+        columns = rows.comm_columns(ids["b0"], widths, ids["x1_0"], dst_widths)
+        assert [list(c) for c in columns] == expected_columns
+        assert calls == [ids["x2_1"], ids["b0"]]
 
 
 # --------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def _drive(fleet, seed, num_jobs, rate, failures, cancels):
                 victims = sorted(s.name for s in engine.fg_running)
             else:
                 victims = sorted(
-                    s.name for s in engine.states.values() if s.collocated
+                    s.name for s in engine.states.values() if s.host is not None
                 )
             if victims and engine.cancel(victims[pick % len(victims)], engine.clock):
                 cancelled[kind] += 1
