@@ -12,8 +12,7 @@ Four scenarios ship by default, one per subsystem the ROADMAP cares about:
   processed.
 * ``sched_sim_xl`` — the cluster-scale fast path: ≥2048 GPUs serving a
   ≥10k-job mixed trace (steady synthetic tenant + heavy-tailed diurnal
-  tenant), with the plan cache pre-warmed through a
-  :class:`~repro.core.planner.pool.PlannerPool`.
+  tenant), with the plan cache pre-warmed before replay.
 * ``sched_sim_hetero`` — a heterogeneous A100+V100 fleet serving the mixed
   trace under an injected host-failure storm: per-pool planning,
   fastest-pool-first foreground placement, checkpoint/restart rollback and
@@ -28,7 +27,7 @@ Four scenarios ship by default, one per subsystem the ROADMAP cares about:
 
 Every scenario returns deterministic ops and metric fingerprints: running
 twice with the same parameters must produce byte-identical values — with a
-cache cold or warm, planned inline or by a worker pool — which is what lets
+cache cold or warm, prewarmed or planned on demand — which is what lets
 CI gate regressions against a committed baseline.  Cache traffic and other
 run-dependent diagnostics go into the artifact's non-gated ``info`` block.
 """
@@ -40,7 +39,6 @@ from typing import Optional, Sequence, Tuple
 from ..analysis.experiments import figure12_collocation_matrix
 from ..cache import ArtifactCache, fleet_fingerprint
 from ..core.planner.planner import BurstParallelPlanner, PlannerConfig
-from ..core.planner.pool import PlannerPool
 from ..models.registry import available_models, build_model, model_entry
 from ..network.fabric import get_fabric
 from ..obs.trace import TraceRecorder
@@ -227,7 +225,6 @@ def sched_sim(
     trace="mixed",
     fabric="nvswitch",
     prewarm=True,
-    planner_processes=1,
     cache_dir=None,
 )
 def sched_sim_xl(
@@ -238,17 +235,15 @@ def sched_sim_xl(
     trace: str,
     fabric: str,
     prewarm: bool,
-    planner_processes: int,
     cache_dir: Optional[str],
 ) -> ScenarioResult:
     """The ROADMAP's production-scale target: ops = events processed.
 
-    The plan cache is pre-warmed before replay (``prewarm=True``) through a
-    :class:`~repro.core.planner.pool.PlannerPool` of ``planner_processes``
-    workers, optionally backed by the persistent cache at ``cache_dir``.
-    Metric fingerprints are identical with prewarming on or off, with the
-    cache cold or warm, and at any worker count — the determinism regression
-    tests pin exactly that — so none of these knobs can hide a result drift.
+    The plan cache is pre-warmed before replay (``prewarm=True``), optionally
+    backed by the persistent cache at ``cache_dir``.  Metric fingerprints are
+    identical with prewarming on or off and with the cache cold or warm —
+    the determinism regression tests pin exactly that — so neither knob can
+    hide a result drift.
     """
     jobs = _make_trace(trace, num_jobs, seed)
     cache = ArtifactCache(cache_dir) if cache_dir else None
@@ -259,14 +254,11 @@ def sched_sim_xl(
     )
     prewarmed = 0
     if prewarm:
-        pool = PlannerPool(
-            fabric=fabric, processes=planner_processes, cache_dir=cache_dir
-        )
-        prewarmed = sched.prewarm_plans(jobs, pool=pool)
+        prewarmed = sched.prewarm_plans(jobs)
     result = sched.run(jobs, policy)
     m = result.metrics
     info = _cache_info(cache)
-    info.update(prewarmed_plans=prewarmed, planner_processes=planner_processes)
+    info.update(prewarmed_plans=prewarmed)
     return ScenarioResult(
         ops=result.events_processed,
         metrics={

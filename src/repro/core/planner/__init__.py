@@ -12,9 +12,6 @@ Public API:
 * :func:`~repro.core.planner.linear_search.solve_chain` — Algorithm 1.
 * :func:`~repro.core.planner.graph_reduction.build_chain_nodes` — the
   multi-chain graph reduction (Figure 7).
-* :class:`~repro.core.planner.pool.PlannerPool` /
-  :class:`~repro.core.planner.pool.PlanRequest` — multiprocess batch
-  planning over a shared persistent cache.
 """
 
 from .costs import PlannerCostModel, candidate_gpu_counts
@@ -22,13 +19,10 @@ from .graph_reduction import BlockNode, LayerNode, build_chain_nodes
 from .linear_search import ChainSolution, NodeDecision, solve_chain
 from .plan import LayerAssignment, TrainingPlan
 from .planner import BurstParallelPlanner, PlannerConfig
-from .pool import PlannerPool, PlanRequest
 
 __all__ = [
     "BurstParallelPlanner",
     "PlannerConfig",
-    "PlannerPool",
-    "PlanRequest",
     "TrainingPlan",
     "LayerAssignment",
     "PlannerCostModel",

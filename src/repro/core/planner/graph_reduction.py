@@ -65,6 +65,7 @@ class LayerNode:
     def __post_init__(self) -> None:
         spec = self.costs.graph.spec(self.layer_id)
         self.exit_layer_id = self.layer_id
+        self.shape = self.costs.cost_shape(self.layer_id)
         self._name = spec.name
         self._op = spec.op
 
@@ -75,7 +76,7 @@ class LayerNode:
         return self.cost_rows.node_cost_row(self.layer_id, widths)
 
     def single_gpu_cost(self) -> float:
-        return self.costs.comp(self.layer_id, 1)
+        return self.costs.shape_comp(self.shape, 1)
 
     def transition_columns(
         self,
@@ -97,8 +98,8 @@ class LayerNode:
                 layer_name=self._name,
                 op=self._op,
                 num_gpus=num_gpus,
-                compute_time=self.costs.comp(self.layer_id, num_gpus),
-                sync_time=self.costs.sync(self.layer_id, num_gpus),
+                compute_time=self.costs.shape_comp(self.shape, num_gpus),
+                sync_time=self.costs.shape_sync(self.shape, num_gpus),
                 comm_time=transition_time,
             )
         ]
@@ -151,6 +152,7 @@ class BlockNode:
     def __post_init__(self) -> None:
         spec = self.costs.graph.spec(self.join_layer_id)
         self.exit_layer_id = self.join_layer_id
+        self.join_shape = self.costs.cost_shape(self.join_layer_id)
         self._name = spec.name
         self._op = spec.op
 
@@ -162,7 +164,7 @@ class BlockNode:
         return self.cost_rows.node_cost_row(self.join_layer_id, widths)
 
     def single_gpu_cost(self) -> float:
-        return self.costs.comp(self.join_layer_id, 1)
+        return self.costs.shape_comp(self.join_shape, 1)
 
     def transition_columns(
         self,
@@ -184,8 +186,8 @@ class BlockNode:
             layer_name=self._name,
             op=self._op,
             num_gpus=num_gpus,
-            compute_time=self.costs.comp(self.join_layer_id, num_gpus),
-            sync_time=self.costs.sync(self.join_layer_id, num_gpus),
+            compute_time=self.costs.shape_comp(self.join_shape, num_gpus),
+            sync_time=self.costs.shape_sync(self.join_shape, num_gpus),
             comm_time=0.0,
         )
         return branch_assignments + [join_assignment]
@@ -356,8 +358,9 @@ def _chain_nodes(
     signature: List[Hashable] = []
     for element in chain:
         if not isinstance(element, BranchBlock):
-            nodes.append(LayerNode(costs, element, candidates, cost_rows))
-            signature.append(costs.cost_shape(element))
+            node = LayerNode(costs, element, candidates, cost_rows)
+            nodes.append(node)
+            signature.append(node.shape)
             continue
         branches = [
             _chain_nodes(branch, costs, candidates, total_gpus, amp_limit, tables, cost_rows)

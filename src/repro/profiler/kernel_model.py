@@ -99,7 +99,10 @@ class KernelCostModel:
     # ------------------------------------------------------------------ model
     def num_blocks(self, workload: KernelWorkload) -> int:
         """Thread blocks the kernel decomposes into (at least one)."""
-        return max(1, math.ceil(workload.parallel_elems / self.elems_per_block))
+        return self._num_blocks(workload.parallel_elems)
+
+    def _num_blocks(self, parallel_elems: float) -> int:
+        return max(1, math.ceil(parallel_elems / self.elems_per_block))
 
     def compute_occupancy(self, workload: KernelWorkload) -> float:
         """Fraction of the device's math throughput the kernel can use.
@@ -108,7 +111,10 @@ class KernelCostModel:
         wave-quantization losses; below one wave, occupancy equals
         ``blocks / wave_size``.
         """
-        blocks = self.num_blocks(workload)
+        return self._compute_occupancy(workload.parallel_elems)
+
+    def _compute_occupancy(self, parallel_elems: float) -> float:
+        blocks = self._num_blocks(parallel_elems)
         wave = self.gpu.wave_size
         full_waves, remainder = divmod(blocks, wave)
         if full_waves == 0:
@@ -118,9 +124,12 @@ class KernelCostModel:
 
     def memory_efficiency(self, workload: KernelWorkload) -> float:
         """Fraction of peak HBM bandwidth the kernel can sustain."""
-        if workload.bytes_moved <= 0:
+        return self._memory_efficiency(workload.bytes_moved)
+
+    def _memory_efficiency(self, bytes_moved: float) -> float:
+        if bytes_moved <= 0:
             return 1.0
-        mem_blocks = max(1, math.ceil(workload.bytes_moved / self.bytes_per_block))
+        mem_blocks = max(1, math.ceil(bytes_moved / self.bytes_per_block))
         return min(1.0, mem_blocks / self.mem_saturation_blocks)
 
     def ideal_time(self, workload: KernelWorkload) -> float:
@@ -136,13 +145,16 @@ class KernelCostModel:
         back to back (e.g. separate data-gradient and weight-gradient kernels
         in a layer's backward pass): the roofline work is unchanged but each
         kernel pays the fixed overhead, and occupancy is evaluated on the
-        per-kernel slice of the work.
+        per-kernel slice of the work.  The slice's occupancy and memory
+        efficiency are computed from its scaled element and byte counts
+        directly (the same values :meth:`KernelWorkload.scaled` would hold),
+        so pricing a kernel allocates no workload.
         """
         if num_kernels <= 0:
             raise ValueError("num_kernels must be positive")
-        slice_ = workload.scaled(1.0 / num_kernels)
-        compute_occ = max(self.compute_occupancy(slice_), 1e-12)
-        mem_eff = max(self.memory_efficiency(slice_), 1e-12)
+        factor = 1.0 / num_kernels
+        compute_occ = max(self._compute_occupancy(workload.parallel_elems * factor), 1e-12)
+        mem_eff = max(self._memory_efficiency(workload.bytes_moved * factor), 1e-12)
         compute_time = workload.flops / (self.gpu.peak_flops * compute_occ)
         memory_time = workload.bytes_moved / (self.gpu.memory_bandwidth * mem_eff)
         return num_kernels * self.gpu.kernel_fixed_overhead + max(compute_time, memory_time)
@@ -154,13 +166,20 @@ class KernelCostModel:
         per-kernel quantity aggregated into the device-utilization CDF
         (Figure 4).
         """
-        t = self.kernel_time(workload, num_kernels)
-        if t <= 0:
+        return self.utilization_at(workload, self.kernel_time(workload, num_kernels))
+
+    def utilization_at(self, workload: KernelWorkload, kernel_time: float) -> float:
+        """:meth:`achieved_utilization` given the workload's :meth:`kernel_time`.
+
+        For callers that already hold the kernel time, so it is not
+        computed twice.
+        """
+        if kernel_time <= 0:
             return 1.0
         ideal = self.ideal_time(workload)
         if ideal <= 0:
             return 0.0
-        return min(1.0, ideal / t)
+        return min(1.0, ideal / kernel_time)
 
     def launch_overhead(self, use_cuda_graphs: bool) -> float:
         """Host-side cost of launching one kernel."""

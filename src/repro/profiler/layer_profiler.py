@@ -287,7 +287,7 @@ class LayerProfiler:
         )
         launch = self.kernel_model.launch_overhead(self.use_cuda_graphs)
         host_time = launch * (fwd_kernels + (bwd_kernels if spec.bwd_flops_multiplier > 0 else 0))
-        utilization = self.kernel_model.achieved_utilization(fwd, num_kernels=fwd_kernels)
+        utilization = self.kernel_model.utilization_at(fwd, fwd_time)
         return LayerTiming(
             layer_name=spec.name,
             op=spec.op,

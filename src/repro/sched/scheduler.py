@@ -43,9 +43,9 @@ Plans are cached by ``(model, batch, width, amplification limit)`` plus the
 owning pool planner's content fingerprint (so schedulers with different
 planner or profiler configurations — or two pools of different GPU
 generations — can never alias plans), and the cache can be pre-warmed before
-replay via :meth:`ClusterScheduler.prewarm_plans` — batch planning every
-(model, width) a trace can request, optionally across worker processes
-through a :class:`~repro.core.planner.pool.PlannerPool`.
+replay via :meth:`ClusterScheduler.prewarm_plans` — planning every
+(model, width) a trace can request, at a cost that follows the trace's
+distinct foreground job shapes rather than its length.
 
 The scheduler is configuration plus caches; one run's mutable state and
 the event loop that changes it belong to a
@@ -75,7 +75,6 @@ from ..cluster.coordinator import ClusterCoordinator
 from ..cluster.executor import CollocationProfile
 from ..core.planner.plan import TrainingPlan
 from ..core.planner.planner import BurstParallelPlanner
-from ..core.planner.pool import PlannerPool, PlanRequest
 from ..models.graph import ModelGraph
 from ..models.registry import build_model
 from ..network.fabric import NetworkFabric, get_fabric
@@ -289,96 +288,46 @@ class ClusterScheduler:
         return occupancy[1], occupancy[2]
 
     def _plan_widths(self, job: TraceJob, pool_name: str) -> Iterator[int]:
-        """Every power-of-two width a policy could place ``job`` at on a pool."""
+        """Every power-of-two width a policy could place ``job`` at on a pool.
+
+        Reads only the job's ``global_batch`` and ``max_gpus`` (through
+        :func:`~repro.sched.policies.width_cap`).
+        """
         top = floor_pow2(max(width_cap(job, self.fleet.pool(pool_name).num_gpus), 1))
         width = 1
         while width <= top:
             yield width
             width *= 2
 
-    def prewarm_plans(
-        self,
-        trace: Sequence[TraceJob],
-        pool: Optional[PlannerPool] = None,
-    ) -> int:
+    def prewarm_plans(self, trace: Sequence[TraceJob]) -> int:
         """Plan every (model, width, GPU pool) the trace can request.
 
-        Every foreground job is expanded to the power-of-two widths its
-        policy could ever place it at on each fleet pool (1 up to
-        ``floor_pow2`` of the pool/batch/``max_gpus`` cap), the deduplicated
-        requests are planned — through ``pool`` (possibly multiprocess,
-        possibly backed by a shared persistent cache) when given, inline on
-        the per-pool planners otherwise — and the results seed
-        :attr:`_plan_cache` so trace replay never stalls on a planner
-        search.  Returns the number of plans seeded.
-
-        A :class:`~repro.core.planner.pool.PlannerPool` plans for exactly
-        one GPU identity, so pool-backed prewarming requires a homogeneous
-        fleet and a pool whose fabric/profiler/planner fingerprint matches
-        this scheduler's planner; a mismatch raises ``ValueError``.  Pool
-        results are deterministic and independent of the worker count, so
-        replay metrics are identical whether the cache was warmed inline,
-        by one worker, or by many.
+        A plan depends on a foreground job's model, global batch and
+        amplification limit, and the widths to plan on its ``max_gpus``; so
+        the trace first collapses to its distinct foreground
+        ``(model, global_batch, amplification_limit, max_gpus)`` shapes, in
+        first-appearance order, and only those are expanded: to the
+        power-of-two widths a policy could ever place them at on each fleet
+        pool (1 up to ``floor_pow2`` of the pool/batch/``max_gpus`` cap).
+        The cost therefore follows the number of distinct shapes, not of
+        jobs, while the plans seeded, their cache keys and their order equal
+        a per-job scan's.  The results seed :attr:`_plan_cache` so trace
+        replay never stalls on a planner search.  Returns the number of
+        plans seeded (0 when every plan is already cached).
         """
-        if pool is not None:
-            if not self.fleet.is_homogeneous:
-                raise ValueError(
-                    "PlannerPool-backed prewarming plans for a single GPU "
-                    "identity; a heterogeneous fleet must prewarm inline "
-                    "(pool=None)"
+        shapes: Dict[Tuple[str, int, float, Optional[int]], TraceJob] = {}
+        for job in trace:
+            if job.is_foreground:
+                shapes.setdefault(
+                    (job.model, job.global_batch, job.amplification_limit, job.max_gpus),
+                    job,
                 )
-            # Validate against the fleet pool's planner — the identity the
-            # seeded cache keys carry — not ``self.planner``, which models a
-            # different GPU whenever the single pool's spec diverges from
-            # the scheduler's profiler.
-            target = self._planner_for(self.fleet.pool_names[0])
-            pool_fp = pool.planner().fingerprint()
-            if pool_fp != self._fingerprint_of(target):
-                raise ValueError(
-                    "PlannerPool configuration does not match this "
-                    "scheduler's planner for the fleet's GPU pool "
-                    "(fabric/profiler/config fingerprints differ); prewarmed "
-                    "plans would alias under the wrong planner identity"
-                )
-        seeded = 0
+        cached = len(self._plan_cache)
         for pool_name in self.fleet.pool_names:
-            requests: List[PlanRequest] = []
-            seen = set()
-            for job in trace:
-                if not job.is_foreground:
-                    continue
+            for job in shapes.values():
                 for width in self._plan_widths(job, pool_name):
-                    request = PlanRequest(
-                        job.model, job.global_batch, width, job.amplification_limit
-                    )
-                    if request not in seen:
-                        seen.add(request)
-                        requests.append(request)
-            if pool is not None:
-                plans = pool.plan_batch(requests)
-            else:
-                planner = self._planner_for(pool_name)
-                plans = [
-                    planner.plan(
-                        self._graph(r.model),
-                        r.global_batch,
-                        r.total_gpus,
-                        amplification_limit=r.amplification_limit,
-                    )
-                    for r in requests
-                ]
-            for request, plan in zip(requests, plans):
-                key = self._plan_cache_key(
-                    request.model,
-                    request.global_batch,
-                    request.total_gpus,
-                    request.amplification_limit,
-                    pool_name,
-                )
-                if key not in self._plan_cache:
-                    self._plan_cache[key] = plan
-                    seeded += 1
-        return seeded
+                    self._plan_for(job, width, pool_name)
+        return len(self._plan_cache) - cached
 
     def prewarm_job(self, job: TraceJob) -> int:
         """Plan every (pool, width) one foreground job could be placed at.
@@ -389,13 +338,7 @@ class ClusterScheduler:
         background jobs, whose dedicated and collocated rates derive from
         the profiler rather than a plan.
         """
-        if not job.is_foreground:
-            return 0
-        cached = len(self._plan_cache)
-        for pool_name in self.fleet.pool_names:
-            for width in self._plan_widths(job, pool_name):
-                self._plan_for(job, width, pool_name)
-        return len(self._plan_cache) - cached
+        return self.prewarm_plans((job,))
 
     # --------------------------------------------------------------- event loop
     def run(

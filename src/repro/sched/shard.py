@@ -23,9 +23,8 @@ that primitive into a parallel replay driver:
    cheap enough for the parallel phase to win.
 3. **Replay** every epoch independently: each worker restores its anchor
    into a fresh engine and advances to the epoch's end boundary (the last
-   epoch drains).  Workers are processes (the
-   :class:`~repro.core.planner.pool.PlannerPool` discipline: module-level
-   worker functions on picklable payloads, ``workers <= 1`` runs inline),
+   epoch drains).  Workers are processes (module-level worker functions on
+   picklable payloads; ``workers <= 1`` runs inline),
    they share the persistent plan store via ``cache_dir``, and they report
    their :mod:`repro.obs` counter deltas back for fold-in, so the driver's
    registry reflects the work wherever it executed.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.job import JobKind, TrainingJob
 from ..models.graph import ModelGraph
@@ -125,8 +125,75 @@ class TraceJob:
 
 
 def _sorted_and_named(jobs: List[TraceJob]) -> List[TraceJob]:
-    """Stable-sort a trace by arrival time (ties keep generation order)."""
+    """Sort a trace by ``(arrival_time, name)``.
+
+    Names are unique within a trace, so the key is a total order: the result
+    does not depend on the order the jobs were generated in.
+    """
     return sorted(jobs, key=lambda j: (j.arrival_time, j.name))
+
+
+def _default_batches(models: List[str]) -> Dict[str, int]:
+    """Each model's default global batch, for foreground jobs."""
+    from ..models.registry import model_entry  # deferred: registry builds lazily
+
+    return {model: model_entry(model).default_global_batch for model in models}
+
+
+def _synthetic_jobs(
+    num_jobs: int,
+    seed: int,
+    arrival_rate: float,
+    models: Sequence[str],
+    bg_fraction: float,
+    fg_iterations: Tuple[int, int],
+    bg_iterations: Tuple[int, int],
+    bg_batches: Sequence[int],
+    amplification_limits: Sequence[float],
+    prefix: str,
+) -> List[TraceJob]:
+    """:func:`synthetic_trace`'s jobs in generation order, names prefixed."""
+    if num_jobs < 1:
+        raise ValueError("num_jobs must be positive")
+    if not (0.0 <= bg_fraction <= 1.0):
+        raise ValueError("bg_fraction must be in [0, 1]")
+    if arrival_rate <= 0:
+        raise ValueError("arrival_rate must be positive")
+    models = list(models)
+    bg_batches = list(bg_batches)
+    amplification_limits = list(amplification_limits)
+    default_batches = _default_batches(models)
+
+    rng = random.Random(seed)
+    jobs: List[TraceJob] = []
+    clock = 0.0
+    for i in range(num_jobs):
+        clock += rng.expovariate(arrival_rate)
+        model = rng.choice(models)
+        if rng.random() < bg_fraction:
+            jobs.append(
+                TraceJob(
+                    name=f"{prefix}bg-{i:03d}",
+                    model=model,
+                    global_batch=rng.choice(bg_batches),
+                    arrival_time=clock,
+                    iterations=rng.randint(*bg_iterations),
+                    kind=JobKind.BACKGROUND,
+                )
+            )
+        else:
+            jobs.append(
+                TraceJob(
+                    name=f"{prefix}fg-{i:03d}",
+                    model=model,
+                    global_batch=default_batches[model],
+                    arrival_time=clock,
+                    iterations=rng.randint(*fg_iterations),
+                    kind=JobKind.FOREGROUND,
+                    amplification_limit=rng.choice(amplification_limits),
+                )
+            )
+    return jobs
 
 
 def synthetic_trace(
@@ -147,44 +214,73 @@ def synthetic_trace(
     otherwise a foreground job with an iteration budget drawn uniformly from
     ``fg_iterations``.  Identical seeds produce identical traces.
     """
+    return _sorted_and_named(
+        _synthetic_jobs(
+            num_jobs, seed, arrival_rate, models, bg_fraction, fg_iterations,
+            bg_iterations, bg_batches, amplification_limits, prefix="",
+        )
+    )
+
+
+def _alibaba_jobs(
+    num_jobs: int,
+    seed: int,
+    mean_interarrival: float,
+    models: Sequence[str],
+    small_fraction: float,
+    sigma: float,
+    small_iterations: int,
+    large_iterations: int,
+    diurnal_period: float,
+    prefix: str,
+) -> List[TraceJob]:
+    """:func:`alibaba_trace`'s jobs in generation order, names prefixed."""
     if num_jobs < 1:
         raise ValueError("num_jobs must be positive")
-    if not (0.0 <= bg_fraction <= 1.0):
-        raise ValueError("bg_fraction must be in [0, 1]")
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
-    from ..models.registry import model_entry  # deferred: registry builds lazily
+    if not (0.0 <= small_fraction <= 1.0):
+        raise ValueError("small_fraction must be in [0, 1]")
+    if mean_interarrival <= 0:
+        raise ValueError("mean_interarrival must be positive")
+    if diurnal_period <= 0:
+        raise ValueError("diurnal_period must be positive")
+    models = list(models)
+    default_batches = _default_batches(models)
 
     rng = random.Random(seed)
     jobs: List[TraceJob] = []
     clock = 0.0
     for i in range(num_jobs):
-        clock += rng.expovariate(arrival_rate)
-        model = rng.choice(list(models))
-        if rng.random() < bg_fraction:
+        # Day/night modulation: gaps stretch up to ~2x in the trough.
+        phase = 2.0 * math.pi * clock / diurnal_period
+        modulation = 1.5 - 0.5 * math.sin(phase)
+        clock += rng.expovariate(1.0 / (mean_interarrival * modulation))
+        model = rng.choice(models)
+        if rng.random() < small_fraction:
+            iterations = max(1, int(small_iterations * rng.lognormvariate(0.0, sigma)))
             jobs.append(
                 TraceJob(
-                    name=f"bg-{i:03d}",
+                    name=f"{prefix}small-{i:03d}",
                     model=model,
-                    global_batch=rng.choice(list(bg_batches)),
+                    global_batch=rng.choice((2, 4)),
                     arrival_time=clock,
-                    iterations=rng.randint(*bg_iterations),
+                    iterations=iterations,
                     kind=JobKind.BACKGROUND,
                 )
             )
         else:
+            iterations = max(1, int(large_iterations * rng.lognormvariate(0.0, sigma)))
             jobs.append(
                 TraceJob(
-                    name=f"fg-{i:03d}",
+                    name=f"{prefix}large-{i:03d}",
                     model=model,
-                    global_batch=model_entry(model).default_global_batch,
+                    global_batch=default_batches[model],
                     arrival_time=clock,
-                    iterations=rng.randint(*fg_iterations),
+                    iterations=iterations,
                     kind=JobKind.FOREGROUND,
-                    amplification_limit=rng.choice(list(amplification_limits)),
+                    amplification_limit=2.0,
                 )
             )
-    return _sorted_and_named(jobs)
+    return jobs
 
 
 def alibaba_trace(
@@ -205,49 +301,15 @@ def alibaba_trace(
     small head of wide foreground jobs carries most of the GPU demand;
     iteration budgets are log-normal (heavy tail), and the arrival rate is
     modulated by a deterministic diurnal wave of period ``diurnal_period``
-    simulated seconds.
+    simulated seconds.  ``mean_interarrival`` and ``diurnal_period`` must be
+    positive.
     """
-    if num_jobs < 1:
-        raise ValueError("num_jobs must be positive")
-    if not (0.0 <= small_fraction <= 1.0):
-        raise ValueError("small_fraction must be in [0, 1]")
-    from ..models.registry import model_entry
-
-    rng = random.Random(seed)
-    jobs: List[TraceJob] = []
-    clock = 0.0
-    for i in range(num_jobs):
-        # Day/night modulation: gaps stretch up to ~2x in the trough.
-        phase = 2.0 * math.pi * clock / diurnal_period
-        modulation = 1.5 - 0.5 * math.sin(phase)
-        clock += rng.expovariate(1.0 / (mean_interarrival * modulation))
-        model = rng.choice(list(models))
-        if rng.random() < small_fraction:
-            iterations = max(1, int(small_iterations * rng.lognormvariate(0.0, sigma)))
-            jobs.append(
-                TraceJob(
-                    name=f"small-{i:03d}",
-                    model=model,
-                    global_batch=rng.choice((2, 4)),
-                    arrival_time=clock,
-                    iterations=iterations,
-                    kind=JobKind.BACKGROUND,
-                )
-            )
-        else:
-            iterations = max(1, int(large_iterations * rng.lognormvariate(0.0, sigma)))
-            jobs.append(
-                TraceJob(
-                    name=f"large-{i:03d}",
-                    model=model,
-                    global_batch=model_entry(model).default_global_batch,
-                    arrival_time=clock,
-                    iterations=iterations,
-                    kind=JobKind.FOREGROUND,
-                    amplification_limit=2.0,
-                )
-            )
-    return _sorted_and_named(jobs)
+    return _sorted_and_named(
+        _alibaba_jobs(
+            num_jobs, seed, mean_interarrival, models, small_fraction, sigma,
+            small_iterations, large_iterations, diurnal_period, prefix="",
+        )
+    )
 
 
 def mixed_trace(
@@ -260,27 +322,30 @@ def mixed_trace(
 ) -> List[TraceJob]:
     """Synthetic and Alibaba-style tenants interleaved on one timeline.
 
-    ``synthetic_fraction`` of the jobs come from :func:`synthetic_trace`
-    (steady Poisson mix) and the rest from :func:`alibaba_trace`
-    (heavy-tailed, diurnal); job names are prefixed by tenant so the merged
-    trace keeps unique names, and the merge is re-sorted by arrival time.
-    This is the cluster-scale workload ``sched_sim_xl`` replays: neither
-    tenant alone exercises both a deep steady queue and bursty wide jobs.
+    ``synthetic_fraction`` of the jobs come from :func:`synthetic_trace`'s
+    generator (steady Poisson mix, seeded ``seed``) and the rest from
+    :func:`alibaba_trace`'s (heavy-tailed, diurnal, seeded ``seed + 1``),
+    with their default shapes.  Each tenant's jobs are generated once with
+    their names already prefixed (``syn-`` / ``ali-``, so the merged trace
+    keeps unique names), and the merge is sorted once by
+    ``(arrival_time, name)``: the same trace as sorting each tenant, renaming
+    and re-sorting.  This is the cluster-scale workload ``sched_sim_xl``
+    replays: neither tenant alone exercises both a deep steady queue and
+    bursty wide jobs.
     """
     if num_jobs < 2:
         raise ValueError("mixed_trace needs at least 2 jobs (one per tenant)")
     if not (0.0 < synthetic_fraction < 1.0):
         raise ValueError("synthetic_fraction must be strictly between 0 and 1")
     num_synthetic = max(1, min(num_jobs - 1, round(num_jobs * synthetic_fraction)))
-    synthetic = synthetic_trace(
-        num_synthetic, seed=seed, arrival_rate=arrival_rate, models=models
+    jobs = _synthetic_jobs(
+        num_synthetic, seed, arrival_rate, models, bg_fraction=0.35,
+        fg_iterations=(300, 1500), bg_iterations=(500, 3000),
+        bg_batches=(2, 4, 8), amplification_limits=(2.0,), prefix="syn-",
     )
-    alibaba = alibaba_trace(
-        num_jobs - num_synthetic,
-        seed=seed + 1,
-        mean_interarrival=mean_interarrival,
-        models=models,
+    jobs += _alibaba_jobs(
+        num_jobs - num_synthetic, seed + 1, mean_interarrival, models,
+        small_fraction=0.8, sigma=1.0, small_iterations=400,
+        large_iterations=1200, diurnal_period=60.0, prefix="ali-",
     )
-    jobs = [replace(job, name=f"syn-{job.name}") for job in synthetic]
-    jobs += [replace(job, name=f"ali-{job.name}") for job in alibaba]
     return _sorted_and_named(jobs)

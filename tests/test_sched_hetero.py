@@ -278,29 +278,18 @@ class TestHeterogeneousScheduling:
         )
         assert sched.run(trace, "collocation").metrics == cold.metrics
 
-    def test_pool_prewarm_rejected_on_hetero_fleet(self, het_sched):
-        from repro.core.planner import PlannerPool
-
-        with pytest.raises(ValueError, match="heterogeneous"):
-            het_sched.prewarm_plans(
-                synthetic_trace(4, seed=1), pool=PlannerPool()
-            )
-
-    def test_pool_prewarm_validates_against_fleet_pool_planner(self):
+    def test_prewarm_keys_carry_fleet_pool_planner(self):
         # A homogeneous fleet whose GPU differs from the scheduler's default
-        # profiler: the PlannerPool must match the *fleet pool's* planner
-        # identity (here V100), not the scheduler's default A100 planner —
-        # otherwise prewarmed A100 plans would be served to V100 jobs.
-        from repro.core.planner import PlannerPool
-
+        # profiler: prewarmed plans must be keyed by the *fleet pool's*
+        # planner identity (here V100), not the scheduler's default A100
+        # planner — otherwise A100 plans would be served to V100 jobs.
         fleet = ClusterFleet((GpuPoolSpec("v100", V100_32GB, 4, gpus_per_host=2),))
         trace = synthetic_trace(4, seed=1, models=("vgg16",))
         sched = ClusterScheduler(fleet)
-        with pytest.raises(ValueError, match="alias"):
-            sched.prewarm_plans(trace, pool=PlannerPool())  # A100 identity
-        seeded = sched.prewarm_plans(trace, pool=PlannerPool(gpu=V100_32GB))
+        seeded = sched.prewarm_plans(trace)
         assert seeded > 0
         v100_fp = sched._fingerprint_of(sched._planner_for("v100"))
+        assert v100_fp != sched._fingerprint_of(sched.planner)
         assert {key[4] for key in sched._plan_cache} == {v100_fp}
 
 

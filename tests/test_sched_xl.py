@@ -7,7 +7,7 @@ import pytest
 
 from repro.bench import run_scenario
 from repro.cluster.job import JobKind
-from repro.core.planner import PlannerConfig, PlannerPool
+from repro.core.planner import PlannerConfig
 from repro.core.planner.planner import BurstParallelPlanner
 from repro.network.fabric import get_fabric
 from repro.profiler.gpu_spec import V100_32GB
@@ -137,24 +137,19 @@ class TestPrewarm:
         # Replay never planned anything beyond the prewarmed set.
         assert len(warmed._plan_cache) == seeded
 
-    @pytest.mark.parametrize("processes", [1, 4])
-    def test_pool_prewarm_matches_inline(self, processes, tmp_path):
+    def test_prewarm_is_deterministic(self):
+        """Two fresh schedulers prewarm the same plans under the same keys,
+        in the same order, and replay to the same metrics."""
         trace = synthetic_trace(30, seed=9)
-        cold = ClusterScheduler(16).run(trace, "collocation")
-        sched = ClusterScheduler(16)
-        pool = PlannerPool(processes=processes, cache_dir=str(tmp_path))
-        sched.prewarm_plans(trace, pool=pool)
-        result = sched.run(trace, "collocation")
-        assert result.metrics == cold.metrics
-
-    def test_mismatched_pool_rejected(self):
-        """A pool planning for a different fabric must not seed this
-        scheduler's plan cache under its fingerprint."""
-        sched = ClusterScheduler(8)  # nvswitch default
-        with pytest.raises(ValueError, match="does not match"):
-            sched.prewarm_plans(
-                synthetic_trace(6, seed=1), pool=PlannerPool(fabric="10gbps")
-            )
+        runs = []
+        for _ in range(2):
+            sched = ClusterScheduler(16)
+            seeded = sched.prewarm_plans(trace)
+            plans = [(key, plan.to_dict()) for key, plan in sched._plan_cache.items()]
+            for _, plan in plans:
+                plan.pop("search_time")  # wall time of the search
+            runs.append((seeded, plans, sched.run(trace, "collocation").metrics))
+        assert runs[0] == runs[1]
 
     def test_prewarm_is_idempotent(self):
         trace = synthetic_trace(20, seed=3)
@@ -236,9 +231,9 @@ XL_SMALL = {"num_gpus": 64, "num_jobs": 160, "seed": 13}
 
 
 class TestSchedSimXlDeterminism:
-    """Satellite: identical fingerprints cold / warm / parallel-prewarmed."""
+    """Identical fingerprints cold / warm / prewarmed / planned on demand."""
 
-    def test_cold_warm_and_pool_sizes_fingerprint_identically(self, tmp_path):
+    def test_cold_warm_and_unprewarmed_fingerprint_identically(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         runs = {
             "no_cache": run_scenario("sched_sim_xl", overrides=XL_SMALL),
@@ -247,10 +242,6 @@ class TestSchedSimXlDeterminism:
             ),
             "warm": run_scenario(
                 "sched_sim_xl", overrides=dict(XL_SMALL, cache_dir=cache_dir)
-            ),
-            "pool4": run_scenario(
-                "sched_sim_xl",
-                overrides=dict(XL_SMALL, cache_dir=cache_dir, planner_processes=4),
             ),
             "no_prewarm": run_scenario(
                 "sched_sim_xl", overrides=dict(XL_SMALL, prewarm=False)
