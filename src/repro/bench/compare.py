@@ -44,21 +44,18 @@ DEFAULT_MAX_TIME_REGRESS_PCT = 10.0
 THROUGHPUT_INFO_KEYS = ("submissions_per_sec",)
 
 #: Scenario parameters that describe the *execution environment* rather than
-#: the workload: where the persistent cache lives, how many planner workers
-#: warmed it, where an observability trace is written, whether the service
-#: journals intents / writes durable snapshots.  Results are proven
+#: the workload: where the persistent cache lives, where an observability
+#: trace is written, whether the service journals intents / writes durable
+#: snapshots.  Results are proven
 #: independent of them (the determinism regression tests), so a CI run
 #: pointing at its own cache directory still gates cleanly against a
 #: baseline recorded with none.
 ENVIRONMENT_PARAMS = frozenset(
     {
         "cache_dir",
-        "planner_processes",
         "trace_out",
         "journal_dir",
         "snapshot_every",
-        "shard_workers",
-        "shard_epochs",
     }
 )
 

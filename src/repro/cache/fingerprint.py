@@ -35,7 +35,6 @@ __all__ = [
     "trace_fingerprint",
     "snapshot_digest",
     "snapshot_fingerprint",
-    "shard_anchor_fingerprint",
 ]
 
 
@@ -176,20 +175,6 @@ def snapshot_fingerprint(payload) -> str:
     single field.
     """
     return snapshot_digest(canonical_json(payload).encode("utf-8"))
-
-
-def shard_anchor_fingerprint(workload: str, boundaries, index: int) -> str:
-    """Content key of one epoch anchor in the shard-replay anchor store.
-
-    ``workload`` is the shard driver's fingerprint of everything that
-    determines the run (scheduler identity, policy, trace, failure
-    schedule); ``boundaries`` is the full epoch-boundary spec and ``index``
-    the anchor's position in it (anchor 0 is the loaded-but-unstepped
-    engine).  Two drivers partitioning the same run the same way share
-    anchors; any change to the workload or the partition produces fresh
-    keys, and the stale anchors are simply never read again.
-    """
-    return fingerprint("shard-anchor", workload, list(boundaries), index)
 
 
 def planner_config_fingerprint(config) -> str:

@@ -1,6 +1,8 @@
 """Tests for the trace-driven multi-tenant cluster scheduler (repro.sched)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.job import JobKind
 from repro.sched import (
@@ -230,6 +232,120 @@ class TestMetrics:
         assert metrics.bg_goodput == 0.0
         assert metrics.preemptions == 0
         assert metrics.lost_gpu_seconds == 0.0
+
+    def test_fleet_metrics_rejects_non_positive_gpu_count(self):
+        for num_gpus in (0, -1):
+            with pytest.raises(ValueError, match="num_gpus"):
+                FleetMetrics.compute([], num_gpus=num_gpus, makespan=1.0)
+
+
+def _record(**fields):
+    row = dict(
+        name="job", model="mlp-small", kind=JobKind.FOREGROUND,
+        arrival_time=0.0, start_time=0.0, finish_time=1.0, iterations=10,
+        global_batch=8, width=1, busy_gpu_seconds=1.0, allocated_gpu_seconds=1.0,
+    )
+    row.update(fields)
+    return JobRecord(**row)
+
+
+_TIMES = st.floats(min_value=0.0, max_value=1e6)
+_COUNTS = st.integers(min_value=0, max_value=50)
+
+
+@st.composite
+def _records(draw):
+    arrival = draw(_TIMES)
+    start = arrival + draw(_TIMES)
+    return _record(
+        kind=draw(st.sampled_from(list(JobKind))),
+        arrival_time=arrival, start_time=start, finish_time=start + draw(_TIMES),
+        iterations=draw(st.integers(1, 10_000)), global_batch=draw(st.integers(1, 4096)),
+        busy_gpu_seconds=draw(_TIMES), lost_gpu_seconds=draw(_TIMES),
+        preemptions=draw(_COUNTS), replans=draw(_COUNTS), restarts=draw(_COUNTS),
+    )
+
+
+class TestFleetMetricsReduction:
+    """``FleetMetrics.compute`` is pinned bit for bit: committed bench
+    baselines hold its floats, and CI checks them on several Pythons."""
+
+    @given(
+        records=st.lists(_records(), min_size=1, max_size=40),
+        num_gpus=st.integers(min_value=1, max_value=4096),
+        makespan=st.floats(min_value=0.0, max_value=1e7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_field_by_field_reference(self, records, num_gpus, makespan):
+        # Each float field is one list reduced by built-in ``sum`` in
+        # record order.
+        jcts = [r.jct for r in records]
+        span = max(makespan, 1e-12)
+        busy = sum([r.busy_gpu_seconds for r in records])
+        assert FleetMetrics.compute(records, num_gpus, makespan) == FleetMetrics(
+            num_gpus=num_gpus, num_jobs=len(records), makespan=makespan,
+            mean_jct=sum(jcts) / len(jcts),
+            median_jct=percentile(jcts, 50.0), p95_jct=percentile(jcts, 95.0),
+            max_jct=max(jcts),
+            mean_queue_delay=sum([r.queue_delay for r in records]) / len(jcts),
+            utilization=min(1.0, busy / (num_gpus * span)),
+            fg_goodput=sum(r.samples for r in records if r.is_foreground) / span,
+            bg_goodput=sum(r.samples for r in records if not r.is_foreground) / span,
+            preemptions=sum(r.preemptions for r in records),
+            replans=sum(r.replans for r in records),
+            restarts=sum(r.restarts for r in records),
+            lost_gpu_seconds=sum([r.lost_gpu_seconds for r in records]),
+        )
+
+    def test_float_fields_reduce_with_builtin_sum(self):
+        # Ten 0.1s: a running ``+=`` gives 0.9999999999999999 everywhere,
+        # while ``sum`` is compensated (1.0) on Python >= 3.12.
+        records = [
+            _record(start_time=0.1, finish_time=0.1, busy_gpu_seconds=0.1,
+                    lost_gpu_seconds=0.1)
+            for _ in range(10)
+        ]
+        metrics = FleetMetrics.compute(records, num_gpus=1, makespan=1.0)
+        tenth_sum = sum([0.1] * 10)
+        assert metrics.lost_gpu_seconds == metrics.utilization == tenth_sum
+        assert metrics.mean_jct == metrics.mean_queue_delay == tenth_sum / 10
+
+    def test_integer_counters_sum_exactly(self):
+        records = [_record(preemptions=i, replans=2 * i, restarts=i % 3) for i in range(7)]
+        metrics = FleetMetrics.compute(records, num_gpus=2, makespan=5.0)
+        counts = (metrics.preemptions, metrics.replans, metrics.restarts)
+        assert counts == (21, 42, 6) and all(type(c) is int for c in counts)
+
+    @pytest.mark.parametrize("kind", list(JobKind))
+    def test_goodput_goes_to_the_records_class(self, kind):
+        records = [_record(kind=kind, iterations=5, global_batch=4)] * 3
+        metrics = FleetMetrics.compute(records, num_gpus=1, makespan=2.0)
+        goodput = {JobKind.FOREGROUND: metrics.fg_goodput, JobKind.BACKGROUND: metrics.bg_goodput}
+        assert goodput.pop(kind) == metrics.total_goodput == 30.0
+        assert list(goodput.values()) == [0.0]
+
+    def test_utilization_is_capped_at_one(self):
+        records = [_record(busy_gpu_seconds=100.0)] * 4
+        assert FleetMetrics.compute(records, num_gpus=2, makespan=10.0).utilization == 1.0
+
+    def test_single_record_answers_every_jct_statistic(self):
+        record = _record(arrival_time=2.0, start_time=3.0, finish_time=9.5)
+        metrics = FleetMetrics.compute([record], num_gpus=4, makespan=7.5)
+        assert metrics.mean_jct == metrics.median_jct == metrics.p95_jct == metrics.max_jct == 7.5
+        assert (metrics.num_jobs, metrics.mean_queue_delay) == (1, 1.0)
+
+    def test_record_order_moves_no_order_statistic(self):
+        records = [
+            _record(arrival_time=float(i), finish_time=i + jct)
+            for i, jct in enumerate((5.0, 1.0, 9.0, 3.0, 7.0))
+        ]
+        forward, backward = (
+            FleetMetrics.compute(ordered, num_gpus=1, makespan=20.0)
+            for ordered in (records, records[::-1])
+        )
+        for metrics in (forward, backward):
+            assert (metrics.median_jct, metrics.max_jct) == (5.0, 9.0)
+            assert metrics.p95_jct == percentile([1.0, 3.0, 5.0, 7.0, 9.0], 95.0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.obs.metrics import global_registry
 from repro.profiler.gpu_spec import A100_40GB, V100_32GB
 from repro.sched import (
     ClusterFleet,
@@ -76,14 +77,17 @@ def _build_engine(config):
     return SchedulerEngine(scheduler, config["policy"])
 
 
-def _load_engine(config):
-    """Engine with the config's jobs and failure schedule queued, clock at 0."""
-    engine = _build_engine(config)
-    trace = sorted(
+def _trace(config):
+    return sorted(
         synthetic_trace(config["num_jobs"], seed=config["seed"]),
         key=lambda job: job.arrival_time,
     )
-    for job in trace:
+
+
+def _load_engine(config):
+    """Engine with the config's jobs and failure schedule queued, clock at 0."""
+    engine = _build_engine(config)
+    for job in _trace(config):
         engine.add_job(job)
     if config["failures"]:
         engine.add_failures(
@@ -200,6 +204,32 @@ class TestEngineSnapshotParity:
                 f"divergence after restoring at event {cut}/{total}"
             )
 
+    def test_restore_while_a_host_is_down_matches_uninterrupted_run(self):
+        # Cut halfway through the first downtime window: the snapshot sits
+        # between a NODE_FAILURE and its NODE_RECOVERY, so the down host
+        # must cross the restore intact.
+        name = "hetero-failures"
+        config = _CONFIGS[name]
+        baseline, _ = _baseline(name)
+        source = _load_engine(config)
+        failure = min(
+            inject_failures(source.scheduler.fleet, config["failures"], seed=config["seed"]),
+            key=lambda f: f.time,
+        )
+        cut = (failure.time + failure.recovery_time) / 2.0
+        while source.queue.peek_time() <= cut:
+            source.step()
+        assert failure.time <= source.clock < failure.recovery_time
+        snapshot = EngineSnapshot.from_json(source.snapshot().to_json())
+        free = snapshot.payload["free"]
+        assert failure.host in free["down_hosts"]
+        assert set(source.scheduler.fleet.gpus_of_host(failure.host)) <= set(free["down"])
+        target = _build_engine(config)
+        target.restore(snapshot)
+        assert target.free.num_down_hosts == source.free.num_down_hosts
+        target.drain()
+        assert result_fingerprint(target.result()) == baseline
+
     @pytest.mark.parametrize("name", sorted(_CONFIGS))
     def test_capture_is_read_only(self, name):
         baseline, total = _baseline(name)
@@ -246,6 +276,132 @@ class TestEngineSnapshotParity:
     def test_restore_at_random_cut_matches_uninterrupted_run(self, name, cut):
         baseline, total = _baseline(name)
         assert _fingerprint_after_cut(name, cut % (total + 1)) == baseline
+
+
+@lru_cache(maxsize=None)
+def _reference_run(name):
+    """The uninterrupted run's result and each event's dispatch time."""
+    engine = _load_engine(_CONFIGS[name])
+    times = tuple(engine.step().time for _ in range(_baseline(name)[1]))
+    return engine.result(), times
+
+
+def _restore(config, engine):
+    """Move ``engine``'s run into a fresh engine through canonical JSON."""
+    target = _build_engine(config)
+    target.restore(EngineSnapshot.from_json(engine.snapshot().to_json()))
+    return target
+
+
+def _run_with_time_cuts(name, bounds):
+    """``advance_to`` each bound, restoring into a fresh engine at every one,
+    then drain; returns the final engine and the steps taken in all."""
+    config = _CONFIGS[name]
+    engine, steps = _load_engine(config), 0
+    for bound in bounds:
+        steps += engine.advance_to(bound)
+        engine = _restore(config, engine)
+    return engine, steps + engine.drain()
+
+
+#: Named simulated-time bounds, picked from the uninterrupted run's event times.
+_BOUNDS = {
+    "first-event": lambda t: t[0],
+    "quarter": lambda t: t[len(t) // 4],
+    "half": lambda t: t[len(t) // 2],
+    "mid-gap": lambda t: next(
+        (a + b) / 2.0 for a, b in zip(t[len(t) // 3 :], t[len(t) // 3 + 1 :]) if a < b
+    ),
+    "past-last-event": lambda t: t[-1] + 1.0,
+}
+
+
+class TestTimeBoundaryRestore:
+    """Cuts at simulated-time bounds (``advance_to``, the way the service
+    moves its clock) rather than at event counts."""
+
+    @pytest.mark.parametrize("name", sorted(_CONFIGS))
+    @pytest.mark.parametrize("epochs", [1, 2, 3, 5, 8])
+    def test_chained_restores_at_arrival_quantiles_match_uninterrupted_run(
+        self, name, epochs
+    ):
+        reference, times = _reference_run(name)
+        arrivals = [job.arrival_time for job in _trace(_CONFIGS[name])]
+        bounds = [arrivals[k * len(arrivals) // epochs] for k in range(1, epochs)]
+        engine, steps = _run_with_time_cuts(name, bounds)
+        result = engine.result()
+        assert steps == len(times) == result.events_processed
+        assert result_fingerprint(result) == result_fingerprint(reference)
+        assert (result.records, result.metrics) == (reference.records, reference.metrics)
+
+    @pytest.mark.parametrize("name", sorted(_CONFIGS))
+    @pytest.mark.parametrize("where", sorted(_BOUNDS))
+    def test_advance_to_dispatches_exactly_the_events_before_the_bound(
+        self, name, where
+    ):
+        reference, times = _reference_run(name)
+        bound = _BOUNDS[where](times)
+        engine = _load_engine(_CONFIGS[name])
+        # Exclusive bound: an event at exactly ``bound`` stays queued.
+        assert engine.advance_to(bound) == sum(1 for t in times if t < bound)
+        assert engine.clock == bound
+        assert not engine.queue or engine.queue.peek_time() >= bound
+        # Repeating the bound, or going back before it, is a no-op.
+        before = engine.snapshot().fingerprint()
+        assert engine.advance_to(bound) == engine.advance_to(bound / 2.0) == 0
+        assert engine.snapshot().fingerprint() == before
+        engine = _restore(_CONFIGS[name], engine)
+        engine.drain()
+        assert result_fingerprint(engine.result()) == result_fingerprint(reference)
+
+    @pytest.mark.parametrize("at", ["time", "recovery_time"])
+    def test_bound_at_a_failure_window_edge_carries_the_host_state(self, at):
+        name = "hetero-failures"
+        config = _CONFIGS[name]
+        reference, _ = _reference_run(name)
+        engine = _load_engine(config)
+        failure = min(
+            inject_failures(engine.scheduler.fleet, config["failures"], seed=config["seed"]),
+            key=lambda f: f.time,
+        )
+        engine.advance_to(getattr(failure, at))
+        # A bound at the failure's own time leaves it queued; one at the
+        # recovery time leaves the recovery queued, so the host is down.
+        down_hosts = engine.snapshot().payload["free"]["down_hosts"]
+        assert (failure.host in down_hosts) == (at == "recovery_time")
+        restored = _restore(config, engine)
+        assert restored.free.num_down_hosts == engine.free.num_down_hosts
+        restored.drain()
+        assert result_fingerprint(restored.result()) == result_fingerprint(reference)
+
+    @pytest.mark.parametrize("name", sorted(_CONFIGS))
+    def test_chained_restores_count_each_event_once(self, name):
+        _, times = _reference_run(name)
+        registry = global_registry()
+        before = registry.snapshot()
+        _load_engine(_CONFIGS[name]).drain()
+        uninterrupted = registry.delta_since(before)
+        before = registry.snapshot()
+        _run_with_time_cuts(name, times[:: max(1, len(times) // 4)])
+        chained = registry.delta_since(before)
+        events = [key for key in uninterrupted if key.startswith("sched.events.")]
+        assert uninterrupted["sched.events.arrival"] == _CONFIGS[name]["num_jobs"]
+        assert {k: chained.get(k) for k in events} == {k: uninterrupted[k] for k in events}
+
+    @pytest.mark.parametrize("name", sorted(_CONFIGS))
+    @given(fractions=st.lists(st.floats(min_value=0.0, max_value=1.1), max_size=4))
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_restore_at_random_times_matches_uninterrupted_run(self, name, fractions):
+        reference, times = _reference_run(name)
+        engine, steps = _run_with_time_cuts(
+            name, sorted(fraction * times[-1] for fraction in fractions)
+        )
+        assert steps == len(times)
+        assert result_fingerprint(engine.result()) == result_fingerprint(reference)
 
 
 class TestRestoreWithGuestsInPlace:
