@@ -1,6 +1,8 @@
 """The built-in benchmark scenarios covering the repo's hot paths.
 
-Four scenarios ship by default, one per subsystem the ROADMAP cares about:
+Seven scenarios ship by default (``python -m repro.bench list``), covering
+the planner, the scheduler at four scales, the online service and the GPU
+simulator:
 
 * ``planner_grid`` — burst-parallel plan search across every registry model
   at a grid of GPU budgets (the paper's Table 3 headline, scaled up).  Ops
@@ -20,6 +22,10 @@ Four scenarios ship by default, one per subsystem the ROADMAP cares about:
   (failures and recoveries included).
 * ``sched_sim_xxl`` — the datacenter-scale replay: a 16384-GPU A100+V100
   fleet serving a 100k-job mixed trace through a failure storm.
+* ``sched_service`` — the online scheduler service: a mixed trace bridged
+  through :meth:`~repro.serve.SchedulerService.submit` under biting
+  per-tenant quotas, optionally journaled and snapshotted.  Ops are
+  simulation events processed.
 * ``collocation_matrix`` — the Figure 12 pairwise GPU-collocation sweep over
   the synthetic kernel grid.  Ops are GPU-simulator runs.
 

@@ -152,15 +152,17 @@ _SNAPSHOT_HEAD = b'["engine-snapshot",'
 _SNAPSHOT_TAIL = b"]"
 
 
-def snapshot_digest(encoded: bytes) -> str:
+def snapshot_digest(*pieces: bytes) -> str:
     """:func:`snapshot_fingerprint` of a payload already canonically encoded.
 
-    ``encoded`` is ``canonical_json(payload).encode("utf-8")``.  A caller
-    that needs those bytes anyway (the service writes them to its snapshot
-    file) hashes them here instead of encoding the payload a second time.
+    The ``pieces``, in order, are ``canonical_json(payload).encode("utf-8")``
+    (one piece or many).  A caller that needs those bytes anyway (the
+    service writes them to its snapshot file, and reads them back) hashes
+    them here instead of encoding the payload a second time.
     """
     digest = hashlib.sha256(_SNAPSHOT_HEAD)
-    digest.update(encoded)
+    for piece in pieces:
+        digest.update(piece)
     digest.update(_SNAPSHOT_TAIL)
     return digest.hexdigest()
 

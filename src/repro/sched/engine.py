@@ -128,7 +128,7 @@ class _JobState:
         "trace", "name", "is_foreground", "arrival_time", "global_batch",
         "max_gpus", "order", "iso_iter_time", "status", "remaining", "version",
         "last_update", "rate", "start_time", "width", "gpu_ids", "gpu_type",
-        "plan", "base_iter_time", "work_per_iteration", "busy_fractions",
+        "base_iter_time", "work_per_iteration", "busy_fractions",
         "hosted", "guest_order", "reach", "host", "host_index",
         "placed_iso_time", "ckpt_remaining", "next_checkpoint", "penalty_until",
         "pending_restart_penalty", "preemptions", "replans", "restarts",
@@ -157,7 +157,6 @@ class _JobState:
         self.width = 0
         self.gpu_ids: List[int] = []
         self.gpu_type: Optional[str] = None  # fleet pool of the placement
-        self.plan: Optional[TrainingPlan] = None
         self.base_iter_time = 0.0
         self.work_per_iteration = 0.0  # busy GPU-seconds per iteration
         self.busy_fractions: List[float] = []
@@ -726,7 +725,6 @@ class SchedulerEngine:
         """
         busy_fractions, work_per_iteration = self.scheduler._occupancy_of(plan)
         state.busy_fractions = busy_fractions
-        state.plan = plan
         state.base_iter_time = plan.iteration_time
         state.work_per_iteration = work_per_iteration
         state.width = plan.total_gpus

@@ -11,23 +11,20 @@ and continuing yields the exact event history of the uninterrupted run:
 ``result_fingerprint`` parity at any event boundary, which the property
 tests assert and the crash harness in :mod:`repro.serve.chaos` relies on.
 
-Two deliberate non-goals keep the format small and honest:
+A job's installed :class:`~repro.core.planner.plan.TrainingPlan` is not
+a field: the engine keeps only the scalars the simulation reads from it
+(``base_iter_time``, ``work_per_iteration``, ``busy_fractions``,
+``width``), and those are serialized directly.
 
-* ``_JobState.plan`` is not captured.  The bound :class:`TrainingPlan` is
-  write-only after installation — every scalar the simulation reads
-  (``base_iter_time``, ``work_per_iteration``, ``busy_fractions``,
-  ``width``) is serialized directly — so the restored state carries
-  ``plan=None`` and behaves identically.
-* Derived caches (plan cache, graph cache, iso-time cache, plan
-  occupancy), the open-collocation-slot index and the expansion frontier
-  with its per-job priced widths are not captured.  The index and the
-  frontier are rebuilt from the restored running foreground jobs, with
-  nothing priced yet (the expand pass re-prices on demand and makes the
-  same decisions).  The caches
-  are pure functions of the scheduler's configuration; the restored run
-  recomputes them on demand, and the snapshot *verifies* it is being
-  applied under the same configuration by recomputing each job's
-  ``iso_iter_time`` and comparing exactly.
+Derived caches (plan cache, graph cache, iso-time cache, plan occupancy),
+the open-collocation-slot index and the expansion frontier with its
+per-job priced widths are deliberately not captured.  The index and the
+frontier are rebuilt from the restored running foreground jobs, with
+nothing priced yet (the expand pass re-prices on demand and makes the
+same decisions).  The caches are pure functions of the scheduler's
+configuration; the restored run recomputes them on demand, and the
+snapshot *verifies* it is being applied under the same configuration by
+recomputing each job's ``iso_iter_time`` and comparing exactly.
 
 The payload is versioned (``schema``) and fingerprinted
 (:func:`~repro.cache.fingerprint.snapshot_fingerprint`), so persisted
@@ -318,7 +315,6 @@ class EngineSnapshot:
             state.width = row["width"]
             state.gpu_ids = list(row["gpu_ids"])
             state.gpu_type = row["gpu_type"]
-            state.plan = None  # write-only after installation; never read
             state.base_iter_time = row["base_iter_time"]
             state.work_per_iteration = row["work_per_iteration"]
             state.busy_fractions = list(row["busy_fractions"])

@@ -10,9 +10,12 @@ journal sequence it reflects.  Recovery is
 
 and degrades gracefully instead of failing hard:
 
-* a **corrupt snapshot** (bad JSON, wrong schema, fingerprint mismatch) is
-  skipped in favour of the next older one — the price is a longer journal
-  replay, never wrong state;
+* a **corrupt snapshot** (framing other than the canonical head and tail,
+  a different schema, bad JSON, fingerprint mismatch) is skipped in
+  favour of the next older one — the price is a longer journal replay,
+  never wrong state;
+* an orphaned **snapshot temp file** (a crash between writing it and
+  renaming it into place) is deleted;
 * with **no usable snapshot** the full journal replays from a cold service;
 * **journal corruption past the last snapshot** cannot be replayed across
   (the sequence gap would diverge from acknowledged history), so recovery
@@ -39,12 +42,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..cache.fingerprint import (
-    canonical_json,
-    snapshot_digest,
-    snapshot_fingerprint,
-)
+from ..cache.fingerprint import canonical_json, snapshot_digest
 from ..obs.trace import EV_RECOVERY, EV_SNAPSHOT
+from ..sched.engine import _CANCELLED, _DONE
 from .journal import IntentJournal, JournalRecord, fsync_directory, scan_journal
 
 __all__ = [
@@ -61,6 +61,17 @@ SERVICE_SNAPSHOT_SCHEMA = 1
 
 _SNAP_PREFIX = "state-"
 _SNAP_SUFFIX = ".json"
+#: ``write_snapshot``'s temp files; one left behind marks a crash mid-write.
+_TMP_PREFIX = ".state-"
+_TMP_SUFFIX = ".tmp"
+
+# A snapshot file is ``canonical_json({"schema", "fingerprint", "payload"})``,
+# so the payload's bytes sit between a fixed-length head and a fixed tail.
+_HEAD_OPEN = b'{"fingerprint":"'
+_HEAD_CLOSE = b'","payload":'
+_DIGEST_HEX = 64
+_HEAD_LEN = len(_HEAD_OPEN) + _DIGEST_HEX + len(_HEAD_CLOSE)
+_TAIL = f',"schema":{SERVICE_SNAPSHOT_SCHEMA}}}'.encode()
 
 
 @dataclass
@@ -119,35 +130,155 @@ def list_snapshots(directory: Union[str, Path]) -> List[Path]:
     return sorted(out)
 
 
+def _encode(value: Any) -> bytes:
+    return canonical_json(value).encode("utf-8")
+
+
+def _put_object(
+    out: List[bytes], obj: Dict[str, Any], special: Dict[str, Callable]
+) -> None:
+    """Append ``canonical_json(obj)`` to ``out`` as pieces.
+
+    Keys go in sorted order with ``","``/``":"`` separators, exactly as
+    :func:`canonical_json` lays them out.  The value of a key in
+    ``special`` is appended by its handler; every other value is encoded
+    whole.
+    """
+    sep = b"{"
+    for key in sorted(obj):
+        out.append(sep + _encode(key) + b":")
+        sep = b","
+        handler = special.get(key)
+        if handler is None:
+            out.append(_encode(obj[key]))
+        else:
+            handler(out, obj[key])
+    out.append(b"}" if obj else b"{}")
+
+
+def _put_array(out: List[bytes], items: List[bytes]) -> None:
+    """Append the JSON array of already-encoded ``items`` to ``out``."""
+    sep = b"["
+    for item in items:
+        out.append(sep)
+        out.append(item)
+        sep = b","
+    out.append(b"]" if items else b"[]")
+
+
+def _put_rows(
+    out: List[bytes],
+    rows: List[Dict[str, Any]],
+    memo: Dict[str, bytes],
+    frozen_name: Callable[[Dict[str, Any]], Optional[str]],
+) -> None:
+    """Append the array of ``rows``, reusing the memoized bytes of each row
+    ``frozen_name`` names (one that can no longer change)."""
+    items = []
+    for row in rows:
+        name = frozen_name(row)
+        if name is None:
+            item = _encode(row)
+        else:
+            item = memo.get(name)
+            if item is None:
+                item = memo[name] = _encode(row)
+        items.append(item)
+    _put_array(out, items)
+
+
+def _frozen_engine_job(row: Dict[str, Any]) -> Optional[str]:
+    return row["trace"]["name"] if row["status"] in (_DONE, _CANCELLED) else None
+
+
+def _frozen_service_job(row: Dict[str, Any]) -> Optional[str]:
+    return row["job"]["name"] if row["finished"] else None
+
+
+class SnapshotEncoder:
+    """Canonical encoding of one service's payloads, as byte pieces.
+
+    Rows that can no longer change are encoded once and their bytes
+    reused by every later snapshot: engine ``jobs`` rows whose status is
+    ``done`` or ``cancelled``, every engine ``records`` row (that list
+    only grows within one service), and service ``jobs`` rows with
+    ``finished`` set.  Only bytes are kept, never the row dicts.  Each
+    :class:`~repro.serve.service.SchedulerService` owns one encoder, so a
+    service restored by recovery starts with an empty memo.
+    """
+
+    __slots__ = ("_engine_jobs", "_records", "_service_jobs")
+
+    def __init__(self) -> None:
+        self._engine_jobs: Dict[str, bytes] = {}
+        self._records: List[bytes] = []
+        self._service_jobs: Dict[str, bytes] = {}
+
+    def encode(self, payload: Dict[str, Any]) -> List[bytes]:
+        """``canonical_json(payload).encode()`` split into pieces, in order."""
+        out: List[bytes] = []
+        _put_object(
+            out,
+            payload,
+            {"engine": self._put_engine, "jobs": self._put_service_jobs},
+        )
+        return out
+
+    def _put_engine(self, out: List[bytes], engine: Dict[str, Any]) -> None:
+        _put_object(
+            out,
+            engine,
+            {"jobs": self._put_engine_jobs, "records": self._put_records},
+        )
+
+    def _put_engine_jobs(self, out: List[bytes], rows: List[Dict]) -> None:
+        _put_rows(out, rows, self._engine_jobs, _frozen_engine_job)
+
+    def _put_records(self, out: List[bytes], rows: List[Dict]) -> None:
+        memo = self._records
+        memo.extend(_encode(row) for row in rows[len(memo):])
+        _put_array(out, memo)
+
+    def _put_service_jobs(self, out: List[bytes], rows: List[Dict]) -> None:
+        _put_rows(out, rows, self._service_jobs, _frozen_service_job)
+
+
 def write_snapshot(service) -> Path:
     """Persist the service's durable state, atomically, and compact.
 
     The document is ``canonical_json({"schema", "fingerprint", "payload"})``.
-    The payload is encoded once: the fingerprint is the digest of those
-    bytes, and the file is those bytes between the document's other keys
-    in sorted order.  It goes through a same-directory temp file and
+    The payload from :meth:`~repro.serve.service.SchedulerService.durable_state`
+    is encoded once, as byte pieces by the service's
+    :class:`SnapshotEncoder`, which reuses the bytes of rows that can no
+    longer change, so a snapshot encodes only the rows changed since the
+    service's earlier ones.  The fingerprint is the digest of those pieces,
+    and the file is the pieces, streamed with ``writelines``, between the
+    document's other keys in sorted order; the document is never joined
+    into one string.  It goes through a same-directory temp file and
     ``os.replace`` so a crash mid-write can never leave a half-written
-    ``state-*.json`` where recovery would find it; with journal fsync on,
-    the directory is fsynced after the rename so the new name survives a
-    power cut.  After the rename, snapshots beyond ``snapshot_keep`` are
-    pruned and the journal is compacted behind the oldest one retained.
+    ``state-*.json`` where recovery would find it (recovery deletes the
+    orphaned temp file); with journal fsync on, the directory is fsynced
+    after the rename so the new name survives a power cut.  After the
+    rename, snapshots beyond ``snapshot_keep`` are pruned and the journal
+    is compacted behind the oldest one retained.
     """
     journal = service._journal
     if journal is None:
         raise ValueError("service has no journal attached")
     payload = service.durable_state()
-    encoded = canonical_json(payload).encode("utf-8")
-    head = f'{{"fingerprint":"{snapshot_digest(encoded)}","payload":'.encode()
-    tail = f',"schema":{SERVICE_SNAPSHOT_SCHEMA}}}'.encode()
+    pieces = service._snapshot_encoder.encode(payload)
+    head = _HEAD_OPEN + snapshot_digest(*pieces).encode() + _HEAD_CLOSE
     directory = journal.directory
     seq = payload["journal_seq"]
     path = directory / f"{_SNAP_PREFIX}{seq:012d}{_SNAP_SUFFIX}"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".state-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=_TMP_PREFIX, suffix=_TMP_SUFFIX
+    )
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(head)
-            fh.write(encoded)
-            fh.write(tail)
+            fh.writelines(pieces)
+            fh.write(_TAIL)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -170,24 +301,57 @@ def write_snapshot(service) -> Path:
     return path
 
 
+def _payload_text(path: Path) -> str:
+    """The payload of one snapshot file as text, framing and digest checked.
+
+    Only the file's bytes and the returned text are ever held: the payload
+    is hashed and decoded through a view, never copied out as bytes.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"snapshot {path.name}: unreadable ({exc})")
+    if (
+        len(data) < _HEAD_LEN + len(_TAIL)
+        or not data.startswith(_HEAD_OPEN)
+        or data[_HEAD_LEN - len(_HEAD_CLOSE) : _HEAD_LEN] != _HEAD_CLOSE
+        or not data.endswith(_TAIL)
+    ):
+        raise ValueError(
+            f"snapshot {path.name}: not a canonical schema-"
+            f"{SERVICE_SNAPSHOT_SCHEMA} snapshot document"
+        )
+    encoded = memoryview(data)[_HEAD_LEN : len(data) - len(_TAIL)]
+    recorded = data[len(_HEAD_OPEN) : len(_HEAD_OPEN) + _DIGEST_HEX]
+    if snapshot_digest(encoded).encode() != recorded:
+        raise ValueError(f"snapshot {path.name}: fingerprint mismatch")
+    try:
+        return str(encoded, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"snapshot {path.name}: unreadable ({exc})")
+
+
 def load_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read one snapshot back, verifying schema and content fingerprint.
+    """Read one snapshot back, verifying framing, schema and fingerprint.
+
+    The writer frames the payload canonically, so its bytes are exactly
+    those between the head ``{"fingerprint":"<fp>","payload":`` and the
+    tail ``,"schema":1}``.  The fingerprint is checked by hashing those
+    bytes as read (:func:`~repro.cache.fingerprint.snapshot_digest`), not
+    by re-encoding the parsed payload; a file whose framing does not match
+    (a different schema, a re-formatted or truncated document) is corrupt.
 
     Raises ``ValueError`` on any corruption — recovery treats that as
     "try the next older snapshot", never as fatal.
     """
     path = Path(path)
+    text = _payload_text(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        payload = json.loads(text)
+    except ValueError as exc:
         raise ValueError(f"snapshot {path.name}: unreadable ({exc})")
-    if not isinstance(doc, dict) or doc.get("schema") != SERVICE_SNAPSHOT_SCHEMA:
-        raise ValueError(f"snapshot {path.name}: unsupported schema")
-    payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise ValueError(f"snapshot {path.name}: malformed payload")
-    if snapshot_fingerprint(payload) != doc.get("fingerprint"):
-        raise ValueError(f"snapshot {path.name}: fingerprint mismatch")
     return payload
 
 
@@ -208,6 +372,10 @@ def recover_service(
     recovered service and a :class:`RecoveryReport`.
     """
     directory = Path(journal_dir)
+    # A crash between write_snapshot's mkstemp and its rename leaves the
+    # temp file behind; nothing else would ever remove it.
+    for orphan in directory.glob(f"{_TMP_PREFIX}*{_TMP_SUFFIX}"):
+        orphan.unlink()
     scan = scan_journal(directory)
     report = RecoveryReport(
         torn_tail_bytes=scan.torn_tail_bytes,

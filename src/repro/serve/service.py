@@ -81,6 +81,7 @@ from .admission import (
     TenantQuota,
 )
 from .journal import IntentJournal, JournalRecord
+from .recovery import SnapshotEncoder
 
 __all__ = ["SchedulerService", "JobHandle", "JobInfo", "default_tenant"]
 
@@ -335,6 +336,8 @@ class SchedulerService:
         self._snapshot_keep = snapshot_keep
         self._applied_seq = 0
         self._quota_overrides: Dict[str, TenantQuota] = {}
+        #: Encoded bytes of the snapshot rows that can no longer change.
+        self._snapshot_encoder = SnapshotEncoder()
         self._emitter = _ServiceEmitter(self, recorder)
         self._engine = SchedulerEngine(scheduler, policy, recorder=self._emitter)
         self._engine.add_failures(failures)

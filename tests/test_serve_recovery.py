@@ -375,6 +375,29 @@ class TestRecovery:
         assert report.replayed_records == _SCRIPT_RECORDS - 5
         assert report.lost_records == 0 and not report.journal_reset
 
+    def test_recovery_deletes_orphaned_snapshot_temp_files(self, tmp_path):
+        wal = tmp_path / "wal"
+        baseline = _journaled_run(wal, snapshot_every=5)
+        # A crash between write_snapshot's mkstemp and its rename leaves
+        # a partial temp file behind.
+        orphan = wal / ".state-crashed.tmp"
+        orphan.write_bytes(b'{"fingerprint":"')
+        # Only write_snapshot's temp files, and only in the journal
+        # directory, are removed.
+        kept = [
+            wal / "notes.tmp",
+            wal / ".state-notes.json",
+            tmp_path / ".state-x.tmp",
+        ]
+        for path in kept:
+            path.write_bytes(b"keep")
+        fingerprint, report = _recovered_fingerprint(wal)
+        assert fingerprint == baseline
+        assert report.clean
+        assert report.snapshot_seq == 10
+        assert not orphan.exists()
+        assert all(path.read_bytes() == b"keep" for path in kept)
+
     def test_torn_tail_recovers_losslessly(self, tmp_path):
         baseline = _journaled_run(tmp_path / "wal")
         segment = scan_journal(tmp_path / "wal").segments[-1]
