@@ -90,6 +90,8 @@ class LayerSpec:
             raise ValueError(f"layer {self.name!r}: negative params")
         if self.input_elems_per_sample < 0 or self.output_elems_per_sample < 0:
             raise ValueError(f"layer {self.name!r}: negative activation size")
+        if self.bwd_flops_multiplier < 0:
+            raise ValueError(f"layer {self.name!r}: negative backward flops multiplier")
 
     @property
     def has_weights(self) -> bool:

@@ -134,9 +134,10 @@ class KernelCostModel:
 
     def ideal_time(self, workload: KernelWorkload) -> float:
         """Roofline execution time assuming full device utilization."""
-        compute = workload.flops / self.gpu.peak_flops
-        memory = workload.bytes_moved / self.gpu.memory_bandwidth
-        return max(compute, memory)
+        return self._ideal_time(workload.flops, workload.bytes_moved)
+
+    def _ideal_time(self, flops: float, bytes_moved: float) -> float:
+        return max(flops / self.gpu.peak_flops, bytes_moved / self.gpu.memory_bandwidth)
 
     def kernel_time(self, workload: KernelWorkload, num_kernels: int = 1) -> float:
         """Device-side execution time of the workload, in seconds.
@@ -152,11 +153,19 @@ class KernelCostModel:
         """
         if num_kernels <= 0:
             raise ValueError("num_kernels must be positive")
+        return self._kernel_time(
+            workload.flops, workload.bytes_moved, workload.parallel_elems, num_kernels
+        )
+
+    def _kernel_time(
+        self, flops: float, bytes_moved: float, parallel_elems: float, num_kernels: int
+    ) -> float:
+        """:meth:`kernel_time` from plain numbers (``num_kernels`` positive)."""
         factor = 1.0 / num_kernels
-        compute_occ = max(self._compute_occupancy(workload.parallel_elems * factor), 1e-12)
-        mem_eff = max(self._memory_efficiency(workload.bytes_moved * factor), 1e-12)
-        compute_time = workload.flops / (self.gpu.peak_flops * compute_occ)
-        memory_time = workload.bytes_moved / (self.gpu.memory_bandwidth * mem_eff)
+        compute_occ = max(self._compute_occupancy(parallel_elems * factor), 1e-12)
+        mem_eff = max(self._memory_efficiency(bytes_moved * factor), 1e-12)
+        compute_time = flops / (self.gpu.peak_flops * compute_occ)
+        memory_time = bytes_moved / (self.gpu.memory_bandwidth * mem_eff)
         return num_kernels * self.gpu.kernel_fixed_overhead + max(compute_time, memory_time)
 
     def achieved_utilization(self, workload: KernelWorkload, num_kernels: int = 1) -> float:
@@ -174,9 +183,12 @@ class KernelCostModel:
         For callers that already hold the kernel time, so it is not
         computed twice.
         """
+        return self._utilization_at(workload.flops, workload.bytes_moved, kernel_time)
+
+    def _utilization_at(self, flops: float, bytes_moved: float, kernel_time: float) -> float:
         if kernel_time <= 0:
             return 1.0
-        ideal = self.ideal_time(workload)
+        ideal = self._ideal_time(flops, bytes_moved)
         if ideal <= 0:
             return 0.0
         return min(1.0, ideal / kernel_time)

@@ -210,26 +210,31 @@ class LayerProfiler:
         self._timing_cache.clear()
 
     # ----------------------------------------------------------- single layer
-    def _forward_workload(self, spec: LayerSpec, batch: int) -> KernelWorkload:
+    def _forward_work(self, spec: LayerSpec, batch: int) -> Tuple[float, float, float]:
+        """``(flops, bytes_moved, parallel_elems)`` of the layer's forward pass."""
         act_bytes = (spec.input_elems_per_sample + spec.output_elems_per_sample) * batch
         weight_bytes = spec.params
-        return KernelWorkload(
-            flops=spec.flops_per_sample * batch,
-            bytes_moved=(act_bytes + weight_bytes) * self.dtype_bytes,
-            parallel_elems=max(spec.output_elems_per_sample, 1) * batch,
+        return (
+            spec.flops_per_sample * batch,
+            (act_bytes + weight_bytes) * self.dtype_bytes,
+            max(spec.output_elems_per_sample, 1) * batch,
         )
 
-    def _backward_workload(self, spec: LayerSpec, batch: int) -> KernelWorkload:
+    def _backward_work(self, spec: LayerSpec, batch: int) -> Tuple[float, float, float]:
+        """``(flops, bytes_moved, parallel_elems)`` of the layer's backward pass."""
         # Backward reads the saved activations and the incoming gradient and
         # writes gradients for inputs (and weights); roughly twice the
         # forward traffic for weighted layers.
         act_bytes = (2 * spec.input_elems_per_sample + spec.output_elems_per_sample) * batch
         weight_bytes = 2 * spec.params
-        return KernelWorkload(
-            flops=spec.flops_per_sample * spec.bwd_flops_multiplier * batch,
-            bytes_moved=(act_bytes + weight_bytes) * self.dtype_bytes,
-            parallel_elems=max(spec.input_elems_per_sample, 1) * batch,
+        return (
+            spec.flops_per_sample * spec.bwd_flops_multiplier * batch,
+            (act_bytes + weight_bytes) * self.dtype_bytes,
+            max(spec.input_elems_per_sample, 1) * batch,
         )
+
+    def _forward_workload(self, spec: LayerSpec, batch: int) -> KernelWorkload:
+        return KernelWorkload(*self._forward_work(spec, batch))
 
     def layer_timing(self, spec: LayerSpec, batch: int) -> LayerTiming:
         """Forward+backward timing of one layer at a per-GPU batch size."""
@@ -277,17 +282,19 @@ class LayerProfiler:
                 host_launch_time=0.0,
                 utilization=1.0,
             )
-        fwd = self._forward_workload(spec, batch)
-        bwd = self._backward_workload(spec, batch)
-        fwd_time = self.kernel_model.kernel_time(fwd, num_kernels=fwd_kernels)
+        # A miss is priced from plain numbers: no KernelWorkload is built.
+        model = self.kernel_model
+        has_bwd = spec.bwd_flops_multiplier > 0
+        fwd_flops, fwd_bytes, fwd_elems = self._forward_work(spec, batch)
+        fwd_time = model._kernel_time(fwd_flops, fwd_bytes, fwd_elems, fwd_kernels)
         bwd_time = (
-            self.kernel_model.kernel_time(bwd, num_kernels=bwd_kernels)
-            if spec.bwd_flops_multiplier > 0
+            model._kernel_time(*self._backward_work(spec, batch), bwd_kernels)
+            if has_bwd
             else 0.0
         )
-        launch = self.kernel_model.launch_overhead(self.use_cuda_graphs)
-        host_time = launch * (fwd_kernels + (bwd_kernels if spec.bwd_flops_multiplier > 0 else 0))
-        utilization = self.kernel_model.utilization_at(fwd, fwd_time)
+        launch = model.launch_overhead(self.use_cuda_graphs)
+        host_time = launch * (fwd_kernels + (bwd_kernels if has_bwd else 0))
+        utilization = model._utilization_at(fwd_flops, fwd_bytes, fwd_time)
         return LayerTiming(
             layer_name=spec.name,
             op=spec.op,
@@ -295,7 +302,7 @@ class LayerProfiler:
             forward_time=fwd_time,
             backward_time=bwd_time,
             forward_kernels=fwd_kernels,
-            backward_kernels=bwd_kernels if spec.bwd_flops_multiplier > 0 else 0,
+            backward_kernels=bwd_kernels if has_bwd else 0,
             host_launch_time=host_time,
             utilization=utilization,
         )

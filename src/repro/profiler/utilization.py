@@ -10,10 +10,10 @@ weighted by the time it occupies the device.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
-import numpy as np
+from itertools import accumulate
+from typing import Dict, Sequence, Tuple
 
 from ..models.graph import ModelGraph
 from .gpu_spec import GPUSpec, A100_40GB
@@ -26,27 +26,30 @@ __all__ = ["UtilizationCDF", "utilization_cdf", "mean_utilization"]
 class UtilizationCDF:
     """Time-weighted CDF of device utilization for one minibatch size.
 
-    ``utilization[i]`` is a utilization level in [0, 1]; ``cumulative[i]`` is
-    the fraction of device-busy time spent at or below that level.
+    ``utilization[i]`` is a utilization level in [0, 1], in ascending order;
+    ``cumulative[i]`` is the fraction of device-busy time spent at or below
+    that level.  Both are tuples, so two CDFs compare and hash by value.
     """
 
     batch: int
-    utilization: np.ndarray
-    cumulative: np.ndarray
+    utilization: Tuple[float, ...]
+    cumulative: Tuple[float, ...]
 
     def fraction_below(self, threshold: float) -> float:
         """Fraction of device time spent below a utilization threshold."""
         if threshold <= 0:
             return 0.0
-        idx = np.searchsorted(self.utilization, threshold, side="left")
+        idx = bisect_left(self.utilization, threshold)
         if idx == 0:
             return 0.0
-        return float(self.cumulative[idx - 1])
+        return self.cumulative[idx - 1]
 
     def mean(self) -> float:
         """Time-weighted mean utilization."""
-        weights = np.diff(np.concatenate([[0.0], self.cumulative]))
-        return float(np.sum(self.utilization * weights))
+        previous = (0.0,) + self.cumulative
+        return sum(
+            u * (c - p) for u, c, p in zip(self.utilization, self.cumulative, previous)
+        )
 
 
 def utilization_cdf(
@@ -61,13 +64,14 @@ def utilization_cdf(
     samples = profile.utilization_samples(batch)
     if not samples:
         raise ValueError(f"model {graph.name!r} produced no kernel timings")
-    times = np.array([t for t, _ in samples], dtype=float)
-    utils = np.array([u for _, u in samples], dtype=float)
-    order = np.argsort(utils)
-    utils = utils[order]
-    weights = times[order] / times.sum()
-    cumulative = np.cumsum(weights)
-    return UtilizationCDF(batch=batch, utilization=utils, cumulative=cumulative)
+    # A stable sort: samples at equal utilization keep their layer order.
+    ordered = sorted(samples, key=lambda sample: sample[1])
+    total = sum(t for t, _ in samples)
+    return UtilizationCDF(
+        batch=batch,
+        utilization=tuple(u for _, u in ordered),
+        cumulative=tuple(accumulate(t / total for t, _ in ordered)),
+    )
 
 
 def mean_utilization(

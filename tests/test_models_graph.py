@@ -1,5 +1,7 @@
 """Unit and property tests for the model-graph representation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,12 @@ class TestLayerSpec:
     def test_rejects_negative_activation_sizes(self):
         with pytest.raises(ValueError):
             make_spec(in_elems=-1)
+
+    def test_rejects_negative_backward_multiplier(self):
+        # The profiler prices a layer from these numbers without building a
+        # validated KernelWorkload, so the spec rejects them itself.
+        with pytest.raises(ValueError, match="backward flops multiplier"):
+            dataclasses.replace(make_spec(), bwd_flops_multiplier=-1.0)
 
     def test_has_weights(self):
         assert make_spec(params=5).has_weights
