@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Container,
     Dict,
     Iterator,
     List,
@@ -122,18 +123,33 @@ class _JobState:
 
     ``guest_order`` starts as the shared empty :data:`_NO_GUESTS`: most
     jobs never host a guest, so a list is built only on first attach.
+
+    Every field besides ``trace`` is declared once, in exactly one of three
+    tuples, and :mod:`repro.sched.snapshot` writes and restores a job from
+    them: :attr:`PERSISTED` fields are written as they are,
+    :attr:`LINKS` (references to other jobs) are written by name, and
+    :attr:`DERIVED` fields are rebuilt on restore.  ``__slots__`` is built
+    from them, so a new field goes into exactly one: a field in none cannot
+    be set, and ``tests/test_durable_records.py`` fails on one in two.
     """
 
-    __slots__ = (
-        "trace", "name", "is_foreground", "arrival_time", "global_batch",
-        "max_gpus", "order", "iso_iter_time", "status", "remaining", "version",
+    #: Scalars and lists a snapshot row carries as they are.
+    PERSISTED = (
+        "order", "iso_iter_time", "status", "remaining", "version",
         "last_update", "rate", "start_time", "width", "gpu_ids", "gpu_type",
-        "base_iter_time", "work_per_iteration", "busy_fractions",
-        "hosted", "guest_order", "reach", "host", "host_index",
+        "base_iter_time", "work_per_iteration", "busy_fractions", "host_index",
         "placed_iso_time", "ckpt_remaining", "next_checkpoint", "penalty_until",
         "pending_restart_penalty", "preemptions", "replans", "restarts",
         "busy_gpu_seconds", "allocated_gpu_seconds", "lost_gpu_seconds",
     )
+    #: References to other jobs, persisted by name.
+    LINKS = ("hosted", "guest_order", "host")
+    #: Rebuilt on restore: the trace copies and the expansion reach.
+    DERIVED = (
+        "name", "is_foreground", "arrival_time", "global_batch", "max_gpus",
+        "reach",
+    )
+    __slots__ = ("trace",) + PERSISTED + LINKS + DERIVED
 
     def __init__(self, trace: TraceJob, order: int, iso_iter_time: float) -> None:
         self.trace = trace
@@ -831,54 +847,62 @@ class SchedulerEngine:
             self._advance(host, now)
             self._reschedule_finish(host, now)
 
-    def _detach_background(
-        self, state: _JobState, now: float, rollback: bool = False
+    def _requeue(
+        self, state: _JobState, now: float, kind: str, rollback: bool = False,
+        **fields,
     ) -> None:
-        """Return a collocated background job to the pending queue.
+        """Return a running job to the pending queue: the one eviction path.
 
-        ``rollback=True`` marks the detachment as failure-induced: the
-        guest's own GPU died, so its progress rolls back to the last
-        checkpoint and it owes a restart.
+        The caller has already removed the job from its registry (before
+        this advance rekeys it).  ``rollback=True`` marks a failure-induced
+        eviction: progress rolls back to the last checkpoint and the job
+        owes a restart.  A guest leaves its host's slot; any other job
+        returns its GPUs (GPUs on a failed host are absorbed until
+        recovery).  Then the ``kind`` event is emitted with ``fields``.
         """
         self._advance(state, now)
         if self.track_failures:
             self._suspend_restart_penalty(state, now)
         if rollback:
             self._rollback_to_checkpoint(state)
+        host = state.host
+        if host is not None:
+            del host.hosted[state.host_index]
+            host.guest_order.remove(state)
+            state.host = None
+        else:
+            self._return_gpus(state, now)
         if self._recorder is not None:
             self._recorder.emit(
-                now, EV_DETACH, job=state.name, pool=state.gpu_type or "",
-                gpus=tuple(state.gpu_ids),
-                detail="rollback" if rollback else "requeue",
+                now, kind, job=state.name, pool=state.gpu_type or "",
+                gpus=tuple(state.gpu_ids), **fields,
             )
-        assert state.host is not None
-        del state.host.hosted[state.host_index]
-        state.host.guest_order.remove(state)
-        state.host = None
         state.gpu_ids = []
         state.gpu_type = None
         state.status = _PENDING
         state.version += 1  # invalidate the in-flight finish event
         self.pending.add(state, now)
 
+    def _detach_guests(
+        self, host: _JobState, now: float, down: Container[int] = ()
+    ) -> None:
+        """Return every guest of ``host`` to the pending queue.
+
+        A guest whose own GPU is in ``down`` rolls back like its host; one
+        on a surviving GPU just loses its slot.
+        """
+        for guest in list(host.guest_order):
+            died = bool(guest.gpu_ids) and guest.gpu_ids[0] in down
+            self._requeue(
+                guest, now, EV_DETACH, rollback=died,
+                detail="rollback" if died else "requeue",
+            )
+
     def _preempt_background(self, state: _JobState, now: float) -> None:
         """Evict a dedicated background job, keeping its progress."""
         self.bg_dedicated.remove(state)
-        self._advance(state, now)
-        if self.track_failures:
-            self._suspend_restart_penalty(state, now)
-        self._return_gpus(state, now)
-        if self._recorder is not None:
-            self._recorder.emit(
-                now, EV_PREEMPTION, job=state.name, pool=state.gpu_type or "",
-                gpus=tuple(state.gpu_ids),
-            )
-        state.gpu_ids = []
-        state.gpu_type = None
-        state.status = _PENDING
-        state.version += 1
         state.preemptions += 1
-        self.pending.add(state, now)
+        self._requeue(state, now, EV_PREEMPTION)
 
     # ---------------------------------------------------------------- failures
     def _rollback_to_checkpoint(self, state: _JobState) -> None:
@@ -891,31 +915,6 @@ class SchedulerEngine:
             state.lost_gpu_seconds += wasted
         state.restarts += 1
         state.pending_restart_penalty = self.scheduler.checkpoint.restart_overhead_s
-
-    def _fail_running(self, state: _JobState, now: float) -> None:
-        """Kill a running job hit by a node failure and re-queue it.
-
-        The caller has already removed the job from its registry (and
-        evicted any guests).  Surviving GPUs return to the free pool;
-        GPUs on the failed host are absorbed until recovery.
-        """
-        self._advance(state, now)
-        self._suspend_restart_penalty(state, now)  # superseded by the rollback
-        self._rollback_to_checkpoint(state)
-        self._return_gpus(state, now)
-        if self._recorder is not None:
-            self._recorder.emit(
-                now, EV_KILL, job=state.name, pool=state.gpu_type or "",
-                gpus=tuple(state.gpu_ids), detail="node-failure",
-            )
-        state.gpu_ids = []
-        state.gpu_type = None
-        if state.is_foreground:
-            state.hosted = {}
-            state.guest_order = _NO_GUESTS
-        state.status = _PENDING
-        state.version += 1
-        self.pending.add(state, now)
 
     def _fail_host(self, host: int, now: float) -> None:
         """Take one host down: kill and re-queue everything it touches."""
@@ -932,20 +931,18 @@ class SchedulerEngine:
         for state in affected_fg:
             if self.open_slots is not None:
                 self.open_slots.close(state)
-            # Guests are evicted first: one whose specific GPU died rolls
-            # back like its host; one on a surviving GPU just loses its slot.
-            for guest in list(state.guest_order):
-                guest_died = bool(guest.gpu_ids) and guest.gpu_ids[0] in down
-                self._detach_background(guest, now, rollback=guest_died)
+            self._detach_guests(state, now, down)  # guests are evicted first
             self.fg_running.remove(state)
             self._leave_frontier(state)
-            self._fail_running(state, now)
+            self._requeue(state, now, EV_KILL, rollback=True, detail="node-failure")
+            state.hosted = {}
+            state.guest_order = _NO_GUESTS
         affected_bg = [
             s for s in list(self.bg_dedicated) if not down.isdisjoint(s.gpu_ids)
         ]
         for state in affected_bg:
             self.bg_dedicated.remove(state)
-            self._fail_running(state, now)
+            self._requeue(state, now, EV_KILL, rollback=True, detail="node-failure")
 
     # --------------------------------------------------------------- teardown
     def _release(
@@ -988,8 +985,7 @@ class SchedulerEngine:
             )
         state.gpu_ids = []
         if state.is_foreground:
-            for guest in list(state.guest_order):
-                self._detach_background(guest, now)
+            self._detach_guests(state, now)
             state.hosted = {}
 
     def _finish(self, state: _JobState, now: float) -> None:

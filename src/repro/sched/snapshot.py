@@ -11,10 +11,14 @@ and continuing yields the exact event history of the uninterrupted run:
 ``result_fingerprint`` parity at any event boundary, which the property
 tests assert and the crash harness in :mod:`repro.serve.chaos` relies on.
 
-A job's installed :class:`~repro.core.planner.plan.TrainingPlan` is not
-a field: the engine keeps only the scalars the simulation reads from it
+A job's row is generated from the field lists ``_JobState`` declares
+once (see :class:`~repro.sched.engine._JobState`): its trace, every
+``PERSISTED`` field as it is, and the ``LINKS`` (collocation references)
+by job name; the ``DERIVED`` fields are rebuilt on restore.  A job's
+installed :class:`~repro.core.planner.plan.TrainingPlan` is not a field:
+the engine keeps only the scalars the simulation reads from it
 (``base_iter_time``, ``work_per_iteration``, ``busy_fractions``,
-``width``), and those are serialized directly.
+``width``), and those are persisted.
 
 Derived caches (plan cache, graph cache, iso-time cache, plan occupancy),
 the open-collocation-slot index and the expansion frontier with its
@@ -37,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, Optional
 
 from ..cache.fingerprint import (
@@ -45,6 +50,7 @@ from ..cache.fingerprint import (
     snapshot_fingerprint,
 )
 from ..cluster.job import JobKind
+from .engine import _CANCELLED, _DONE, _PENDING, _RUNNING, _JobState
 from .metrics import JobRecord
 from .ordering import SortedJobList
 from .traces import TraceJob
@@ -71,21 +77,11 @@ _EMPTY_GUEST_ORDER = SortedJobList().dump()
 # Restore maps status strings back onto the engine's module-level constants:
 # the arrival handler tests ``status is not _PENDING`` by identity, and
 # strings parsed from JSON are not interned.
-_STATUS_CANON: Dict[str, str] = {}
+_STATUSES = {status: status for status in (_PENDING, _RUNNING, _DONE, _CANCELLED)}
 
-
-def _status_constants() -> Dict[str, str]:
-    if not _STATUS_CANON:
-        from . import engine as _engine
-
-        for const in (
-            _engine._PENDING,
-            _engine._RUNNING,
-            _engine._DONE,
-            _engine._CANCELLED,
-        ):
-            _STATUS_CANON[const] = const
-    return _STATUS_CANON
+#: A job row's ``_JobState.PERSISTED`` values, read from a state and a row.
+_read_persisted = attrgetter(*_JobState.PERSISTED)
+_row_persisted = itemgetter(*_JobState.PERSISTED)
 
 
 def enc_float(value: float) -> Any:
@@ -155,40 +151,17 @@ def load_record(row: Dict[str, Any]) -> JobRecord:
     return JobRecord(**data)
 
 
-def _dump_job_state(state) -> Dict[str, Any]:
-    return {
-        "trace": dump_trace_job(state.trace),
-        "order": state.order,
-        "iso_iter_time": state.iso_iter_time,
-        "status": state.status,
-        "remaining": state.remaining,
-        "version": state.version,
-        "last_update": state.last_update,
-        "rate": state.rate,
-        "start_time": state.start_time,
-        "width": state.width,
-        "gpu_ids": list(state.gpu_ids),
-        "gpu_type": state.gpu_type,
-        "base_iter_time": state.base_iter_time,
-        "work_per_iteration": state.work_per_iteration,
-        "busy_fractions": list(state.busy_fractions),
-        # References become names; a second restore pass re-wires them.
-        "hosted": [[index, guest.name] for index, guest in state.hosted.items()],
-        "guest_order": state.guest_order.dump(),
-        "host": state.host.name if state.host is not None else None,
-        "host_index": state.host_index,
-        "placed_iso_time": state.placed_iso_time,
-        "ckpt_remaining": state.ckpt_remaining,
-        "next_checkpoint": state.next_checkpoint,
-        "penalty_until": state.penalty_until,
-        "pending_restart_penalty": state.pending_restart_penalty,
-        "preemptions": state.preemptions,
-        "replans": state.replans,
-        "restarts": state.restarts,
-        "busy_gpu_seconds": state.busy_gpu_seconds,
-        "allocated_gpu_seconds": state.allocated_gpu_seconds,
-        "lost_gpu_seconds": state.lost_gpu_seconds,
-    }
+def _dump_job_state(state: _JobState) -> Dict[str, Any]:
+    """One job's snapshot row: its trace, its ``PERSISTED`` fields and its
+    ``LINKS`` as names (a second restore pass re-wires them)."""
+    row = dict(zip(_JobState.PERSISTED, _read_persisted(state)))
+    row["trace"] = dump_trace_job(state.trace)
+    row["gpu_ids"] = list(state.gpu_ids)
+    row["busy_fractions"] = list(state.busy_fractions)
+    row["hosted"] = [[index, guest.name] for index, guest in state.hosted.items()]
+    row["guest_order"] = state.guest_order.dump()
+    row["host"] = state.host.name if state.host is not None else None
+    return row
 
 
 class EngineSnapshot:
@@ -286,12 +259,10 @@ class EngineSnapshot:
                 "snapshot fleet does not match this scheduler's fleet "
                 "(GPU pools, sizes or host shapes differ)"
             )
-        statuses = _status_constants()
-        from .engine import _JobState
-
-        # Pass 1: rebuild every job state with its scalar fields.
+        # Pass 1: rebuild every job state with its persisted fields; the
+        # derived ones come from its trace (and, for ``reach``, below).
         rows = sorted(payload["jobs"], key=lambda row: row["order"])
-        states: Dict[str, Any] = {}
+        states: Dict[str, _JobState] = {}
         for row in rows:
             trace = load_trace_job(row["trace"])
             state = _JobState(
@@ -306,30 +277,11 @@ class EngineSnapshot:
                     f"derives {state.iso_iter_time!r} — planner/profiler "
                     "configuration differs from the capturing run"
                 )
-            state.status = statuses[row["status"]]
-            state.remaining = row["remaining"]
-            state.version = row["version"]
-            state.last_update = row["last_update"]
-            state.rate = row["rate"]
-            state.start_time = row["start_time"]
-            state.width = row["width"]
+            for name, value in zip(_JobState.PERSISTED, _row_persisted(row)):
+                setattr(state, name, value)
+            state.status = _STATUSES[row["status"]]
             state.gpu_ids = list(row["gpu_ids"])
-            state.gpu_type = row["gpu_type"]
-            state.base_iter_time = row["base_iter_time"]
-            state.work_per_iteration = row["work_per_iteration"]
             state.busy_fractions = list(row["busy_fractions"])
-            state.host_index = row["host_index"]
-            state.placed_iso_time = row["placed_iso_time"]
-            state.ckpt_remaining = row["ckpt_remaining"]
-            state.next_checkpoint = row["next_checkpoint"]
-            state.penalty_until = row["penalty_until"]
-            state.pending_restart_penalty = row["pending_restart_penalty"]
-            state.preemptions = row["preemptions"]
-            state.replans = row["replans"]
-            state.restarts = row["restarts"]
-            state.busy_gpu_seconds = row["busy_gpu_seconds"]
-            state.allocated_gpu_seconds = row["allocated_gpu_seconds"]
-            state.lost_gpu_seconds = row["lost_gpu_seconds"]
             states[trace.name] = state
 
         # Pass 2: re-wire collocation references by name.

@@ -28,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..obs.metrics import global_registry
+from ..sched.snapshot import dec_float, enc_float
 from ..sched.traces import TraceJob
 
 __all__ = [
@@ -74,6 +75,21 @@ class TenantQuota:
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
 
+    def dump(self) -> Dict[str, Any]:
+        """The quota as a canonical-JSON row (journal intents, snapshots)."""
+        return {
+            "gpu_seconds": enc_float(self.gpu_seconds),
+            "max_pending": self.max_pending,
+        }
+
+    @classmethod
+    def load(cls, row: Mapping[str, Any]) -> "TenantQuota":
+        """Inverse of :meth:`dump`; other keys of ``row`` are ignored."""
+        return cls(
+            gpu_seconds=dec_float(row["gpu_seconds"]),
+            max_pending=row["max_pending"],
+        )
+
 
 class TenantAccount:
     """Live accounting for one tenant (created lazily at first submission).
@@ -81,8 +97,15 @@ class TenantAccount:
     ``committed``/``used`` are the GPU-second ledger described in the module
     docstring; the job counters double as :mod:`repro.obs` registry counters
     (``serve.tenant.<name>.*``) so service runs show up in the same metrics
-    snapshots as everything else.
+    snapshots as everything else.  A snapshot row (:meth:`dump` /
+    :meth:`load`) carries the quota, the :attr:`LEDGER` fields and the
+    :attr:`COUNTERS`, each named once here.
     """
+
+    #: Ledger fields a snapshot row carries as they are.
+    LEDGER = ("committed", "used", "engine_pending", "queued")
+    #: Job counters, ``serve.tenant.<name>.<counter>`` in the registry.
+    COUNTERS = ("submitted", "admitted", "queued", "rejected", "completed", "cancelled")
 
     def __init__(self, name: str, quota: TenantQuota) -> None:
         self.name = name
@@ -96,17 +119,14 @@ class TenantAccount:
         #: Jobs held in the service's backpressure queue.
         self.queued = 0
         registry = global_registry()
-        prefix = f"serve.tenant.{name}"
         # Scoped (per-account) counters rolling up into the registered
         # ``serve.tenant.<name>.*`` aggregates: a recovered service restores
         # its own ledger exactly without re-counting another instance's
         # traffic, while process-wide totals still accumulate.
-        self.submitted_c = registry.scoped_counter(f"{prefix}.submitted")
-        self.admitted_c = registry.scoped_counter(f"{prefix}.admitted")
-        self.queued_c = registry.scoped_counter(f"{prefix}.queued")
-        self.rejected_c = registry.scoped_counter(f"{prefix}.rejected")
-        self.completed_c = registry.scoped_counter(f"{prefix}.completed")
-        self.cancelled_c = registry.scoped_counter(f"{prefix}.cancelled")
+        self.counters = {
+            counter: registry.scoped_counter(f"serve.tenant.{name}.{counter}")
+            for counter in self.COUNTERS
+        }
 
     @property
     def available(self) -> float:
@@ -135,48 +155,47 @@ class TenantAccount:
         self.used += charge
 
     def snapshot(self) -> Dict[str, float]:
-        """One tenant's ledger as a plain dict (for ``cluster_state()``)."""
-        return {
+        """One tenant's ledger as a plain dict (for ``cluster_state()``).
+
+        ``queued`` is the live backpressure count, not the counter.
+        """
+        row = {
             "quota_gpu_seconds": self.quota.gpu_seconds,
             "committed_gpu_seconds": self.committed,
             "used_gpu_seconds": self.used,
             "available_gpu_seconds": self.available,
             "engine_pending": self.engine_pending,
             "queued": self.queued,
-            "submitted": self.submitted_c.value,
-            "admitted": self.admitted_c.value,
-            "rejected": self.rejected_c.value,
-            "completed": self.completed_c.value,
-            "cancelled": self.cancelled_c.value,
         }
+        for name, counter in self.counters.items():
+            row.setdefault(name, counter.value)
+        return row
 
-    def restore_ledger(
-        self,
-        committed: float,
-        used: float,
-        engine_pending: int,
-        queued: int,
-        counters: Mapping[str, int],
-    ) -> None:
-        """Set the ledger to a snapshotted state (crash recovery only).
+    def dump(self) -> Dict[str, Any]:
+        """The account as a canonical-JSON snapshot row."""
+        row = {field: getattr(self, field) for field in self.LEDGER}
+        row["name"] = self.name
+        row["quota"] = self.quota.dump()
+        row["counters"] = {
+            name: counter.value for name, counter in self.counters.items()
+        }
+        return row
+
+    @classmethod
+    def load(cls, row: Mapping[str, Any]) -> "TenantAccount":
+        """Inverse of :meth:`dump` (crash recovery only).
 
         Counters are scoped to this account, so setting them exactly cannot
         perturb another service instance; the parent aggregates absorb the
         restored totals as ordinary increments.
         """
-        self.committed = committed
-        self.used = used
-        self.engine_pending = engine_pending
-        self.queued = queued
-        for key, counter in (
-            ("submitted", self.submitted_c),
-            ("admitted", self.admitted_c),
-            ("queued", self.queued_c),
-            ("rejected", self.rejected_c),
-            ("completed", self.completed_c),
-            ("cancelled", self.cancelled_c),
-        ):
-            counter.add(counters[key] - counter.value)
+        account = cls(row["name"], TenantQuota.load(row["quota"]))
+        for field in cls.LEDGER:
+            setattr(account, field, row[field])
+        counts = row["counters"]
+        for name, counter in account.counters.items():
+            counter.add(counts[name] - counter.value)
+        return account
 
 
 class AdmissionPolicy:

@@ -246,6 +246,22 @@ class SnapshotEncoder:
 def write_snapshot(service) -> Path:
     """Persist the service's durable state, atomically, and compact.
 
+    The file is written by :func:`_write_snapshot_file`; after it, the
+    snapshot is announced, snapshots beyond ``snapshot_keep`` are pruned
+    and the journal is compacted behind the oldest one retained
+    (:func:`_retire_snapshots`).
+    """
+    journal = service._journal
+    if journal is None:
+        raise ValueError("service has no journal attached")
+    path = _write_snapshot_file(service, journal.directory, journal.fsync)
+    _retire_snapshots(service, path)
+    return path
+
+
+def _write_snapshot_file(service, directory: Path, fsync_dir: bool) -> Path:
+    """Write the service's durable state to ``state-<seq>.json``, durably.
+
     The document is ``canonical_json({"schema", "fingerprint", "payload"})``.
     The payload from :meth:`~repro.serve.service.SchedulerService.durable_state`
     is encoded once, as byte pieces by the service's
@@ -257,20 +273,13 @@ def write_snapshot(service) -> Path:
     into one string.  It goes through a same-directory temp file and
     ``os.replace`` so a crash mid-write can never leave a half-written
     ``state-*.json`` where recovery would find it (recovery deletes the
-    orphaned temp file); with journal fsync on, the directory is fsynced
-    after the rename so the new name survives a power cut.  After the
-    rename, snapshots beyond ``snapshot_keep`` are pruned and the journal
-    is compacted behind the oldest one retained.
+    orphaned temp file); with ``fsync_dir``, the directory is fsynced
+    after the rename so the new name survives a power cut.
     """
-    journal = service._journal
-    if journal is None:
-        raise ValueError("service has no journal attached")
     payload = service.durable_state()
     pieces = service._snapshot_encoder.encode(payload)
     head = _HEAD_OPEN + snapshot_digest(*pieces).encode() + _HEAD_CLOSE
-    directory = journal.directory
-    seq = payload["journal_seq"]
-    path = directory / f"{_SNAP_PREFIX}{seq:012d}{_SNAP_SUFFIX}"
+    path = directory / f"{_SNAP_PREFIX}{payload['journal_seq']:012d}{_SNAP_SUFFIX}"
     fd, tmp = tempfile.mkstemp(
         dir=directory, prefix=_TMP_PREFIX, suffix=_TMP_SUFFIX
     )
@@ -288,17 +297,24 @@ def write_snapshot(service) -> Path:
         except OSError:
             pass
         raise
-    if journal.fsync:
+    if fsync_dir:
         fsync_directory(directory)
-    service._emitter.emit(service.clock, EV_SNAPSHOT, detail=f"seq={seq}")
-    snaps = list_snapshots(directory)
+    return path
+
+
+def _retire_snapshots(service, path: Path) -> None:
+    """Announce the snapshot at ``path``, prune and compact behind it."""
+    journal = service._journal
+    service._emitter.emit(
+        service.clock, EV_SNAPSHOT, detail=f"seq={_snapshot_seq(path)}"
+    )
+    snaps = list_snapshots(journal.directory)
     keep = service._snapshot_keep
     for old in snaps[:-keep]:
         old.unlink()
     snaps = snaps[-keep:]
     if snaps:
         journal.compact(_snapshot_seq(snaps[0]))
-    return path
 
 
 def _payload_text(path: Path) -> str:
@@ -428,10 +444,12 @@ def recover_service(
 
     # A journal whose history diverges from the recovered state (corruption,
     # or records the snapshot/suffix could not account for) is discarded:
-    # numbering continues from the last applied intent and a fresh snapshot
-    # below re-anchors recovery so the damaged history is never needed.
+    # numbering continues from the last applied intent.  A fresh snapshot
+    # re-anchors recovery first, so the damaged history is never needed
+    # again, even if this recovery crashes while deleting it.
     reset = bool(scan.error) or applied < scan.last_seq
     if reset:
+        anchor_path = _write_snapshot_file(service, directory, journal_fsync)
         for segment in scan.segments:
             if segment.exists():
                 segment.unlink()
@@ -448,6 +466,8 @@ def recover_service(
             f"lost={report.lost_records}"
         ),
     )
-    if reset or snapshot_every:
+    if reset:
+        _retire_snapshots(service, anchor_path)
+    elif snapshot_every:
         write_snapshot(service)
     return service, report

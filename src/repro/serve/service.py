@@ -65,13 +65,7 @@ from ..obs.trace import (
 from ..sched.engine import _CANCELLED, ScheduleResult, SchedulerEngine
 from ..sched.failures import NodeFailure
 from ..sched.policies import SchedulingPolicy
-from ..sched.snapshot import (
-    EngineSnapshot,
-    dec_float,
-    dump_trace_job,
-    enc_float,
-    load_trace_job,
-)
+from ..sched.snapshot import EngineSnapshot, dump_trace_job, load_trace_job
 from ..sched.traces import TraceJob
 from .admission import (
     AcceptAll,
@@ -433,10 +427,10 @@ class SchedulerService:
         decision = self.admission.decide(account, job, estimate)
         self._jobs[name] = handle
         _SUBMISSIONS.add(1)
-        account.submitted_c.add(1)
+        account.counters["submitted"].add(1)
         if decision is AdmissionDecision.REJECT:
             handle._service_status = _ST_REJECTED
-            account.rejected_c.add(1)
+            account.counters["rejected"].add(1)
             handle._resolve()
             self._emitter.emit(
                 arrival, EV_SUBMIT, job=name, detail=f"reject:{tenant_id}"
@@ -444,7 +438,7 @@ class SchedulerService:
         elif decision is AdmissionDecision.QUEUE:
             handle._service_status = _ST_QUEUED
             account.queued += 1
-            account.queued_c.add(1)
+            account.counters["queued"].add(1)
             self._backpressure.setdefault(tenant_id, deque()).append(handle)
             self._emitter.emit(
                 arrival, EV_SUBMIT, job=name, detail=f"queue:{tenant_id}"
@@ -475,7 +469,7 @@ class SchedulerService:
             job = job.with_arrival(arrival)
         account.admit(handle.estimate_gpu_seconds)
         account.engine_pending += 1
-        account.admitted_c.add(1)
+        account.counters["admitted"].add(1)
         handle._service_status = None  # engine owns the status now
         if self.prewarm_on_admit:
             _PREWARMED_PLANS.add(self.scheduler.prewarm_job(job))
@@ -513,7 +507,7 @@ class SchedulerService:
             self._backpressure[handle.tenant].remove(handle)
             account.queued -= 1
             handle._service_status = _ST_CANCELLED
-            account.cancelled_c.add(1)
+            account.counters["cancelled"].add(1)
             handle._resolve()
             self._emitter.emit(
                 now, EV_CANCEL, job=job_id, detail=f"queued:{handle.tenant}"
@@ -528,7 +522,7 @@ class SchedulerService:
             handle.estimate_gpu_seconds,
             state.busy_gpu_seconds + state.lost_gpu_seconds,
         )
-        account.cancelled_c.add(1)
+        account.counters["cancelled"].add(1)
         handle._resolve()
         self._pump(now)
         return True
@@ -548,8 +542,7 @@ class SchedulerService:
                 "op": "set_quota",
                 "clock": self._engine.clock,
                 "tenant": tenant,
-                "gpu_seconds": enc_float(quota.gpu_seconds),
-                "max_pending": quota.max_pending,
+                **quota.dump(),
             }
         )
         self._set_quota_sync(tenant, quota)
@@ -629,13 +622,7 @@ class SchedulerService:
                 if handle is not None and not handle._finished:
                     self._cancel_sync(intent["job"])
             elif op == "set_quota":
-                self._set_quota_sync(
-                    intent["tenant"],
-                    TenantQuota(
-                        gpu_seconds=dec_float(intent["gpu_seconds"]),
-                        max_pending=intent["max_pending"],
-                    ),
-                )
+                self._set_quota_sync(intent["tenant"], TenantQuota.load(intent))
             else:
                 raise ValueError(f"unknown journal op {op!r}")
         finally:
@@ -661,35 +648,13 @@ class SchedulerService:
             }
             for handle in self._jobs.values()
         ]
-        tenants = []
-        for name in sorted(self._accounts):
-            account = self._accounts[name]
-            tenants.append(
-                {
-                    "name": name,
-                    "quota": {
-                        "gpu_seconds": enc_float(account.quota.gpu_seconds),
-                        "max_pending": account.quota.max_pending,
-                    },
-                    "committed": account.committed,
-                    "used": account.used,
-                    "engine_pending": account.engine_pending,
-                    "queued": account.queued,
-                    "counters": {
-                        "submitted": account.submitted_c.value,
-                        "admitted": account.admitted_c.value,
-                        "queued": account.queued_c.value,
-                        "rejected": account.rejected_c.value,
-                        "completed": account.completed_c.value,
-                        "cancelled": account.cancelled_c.value,
-                    },
-                }
-            )
         return {
             "journal_seq": self._applied_seq,
             "clock": self._engine.clock,
             "engine": EngineSnapshot.capture(self._engine).payload,
-            "tenants": tenants,
+            "tenants": [
+                self._accounts[name].dump() for name in sorted(self._accounts)
+            ],
             "jobs": jobs,
             "backpressure": {
                 tenant: [handle.name for handle in queue]
@@ -697,10 +662,7 @@ class SchedulerService:
                 if queue
             },
             "quota_overrides": {
-                tenant: {
-                    "gpu_seconds": enc_float(quota.gpu_seconds),
-                    "max_pending": quota.max_pending,
-                }
+                tenant: quota.dump()
                 for tenant, quota in sorted(self._quota_overrides.items())
             },
         }
@@ -713,28 +675,13 @@ class SchedulerService:
             )
         self._engine.restore(EngineSnapshot(payload["engine"]))
         for tenant, row in payload["quota_overrides"].items():
-            quota = TenantQuota(
-                gpu_seconds=dec_float(row["gpu_seconds"]),
-                max_pending=row["max_pending"],
-            )
+            quota = TenantQuota.load(row)
             self._quota_overrides[tenant] = quota
             setter = getattr(self.admission, "set_quota", None)
             if setter is not None:
                 setter(tenant, quota)
         for row in payload["tenants"]:
-            quota = TenantQuota(
-                gpu_seconds=dec_float(row["quota"]["gpu_seconds"]),
-                max_pending=row["quota"]["max_pending"],
-            )
-            account = TenantAccount(row["name"], quota)
-            account.restore_ledger(
-                committed=row["committed"],
-                used=row["used"],
-                engine_pending=row["engine_pending"],
-                queued=row["queued"],
-                counters=row["counters"],
-            )
-            self._accounts[row["name"]] = account
+            self._accounts[row["name"]] = TenantAccount.load(row)
         for row in payload["jobs"]:
             job = load_trace_job(row["job"])
             handle = JobHandle(self, job, row["tenant"], row["estimate"])
@@ -833,7 +780,7 @@ class SchedulerService:
             handle.estimate_gpu_seconds,
             state.busy_gpu_seconds + state.lost_gpu_seconds,
         )
-        account.completed_c.add(1)
+        account.counters["completed"].add(1)
         handle._resolve()
         # Freed quota may unblock backpressured submissions; re-admission
         # happens at the completion's simulated time, deterministically.
@@ -864,7 +811,7 @@ class SchedulerService:
                     queue.popleft()
                     account.queued -= 1
                     handle._service_status = _ST_REJECTED
-                    account.rejected_c.add(1)
+                    account.counters["rejected"].add(1)
                     handle._resolve()
                     self._emitter.emit(
                         now, EV_SUBMIT, job=handle.name,
@@ -926,7 +873,7 @@ class SchedulerService:
                 handle = queue.popleft()
                 account.queued -= 1
                 handle._service_status = _ST_REJECTED
-                account.rejected_c.add(1)
+                account.counters["rejected"].add(1)
                 handle._resolve()
                 self._emitter.emit(
                     now, EV_SUBMIT, job=handle.name,

@@ -12,6 +12,7 @@ through the ``python -m repro.serve smoke --crash`` entry point.
 import asyncio
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cache.fingerprint import canonical_json
 from repro.obs import EV_RECOVERY, EV_SNAPSHOT, TraceRecorder
 from repro.sched import ClusterScheduler, TraceJob
 from repro.serve import (
@@ -34,6 +36,7 @@ from repro.serve import (
     result_fingerprint,
     scan_journal,
 )
+from repro.serve import recovery
 from repro.serve.chaos import default_spec, run_chaos_worker
 
 # ---------------------------------------------------------------------------
@@ -443,6 +446,64 @@ class TestRecovery:
         assert not scan.error
         assert scan.last_seq == broken_at + 1
         asyncio.run(service.close())
+
+    def test_crash_during_journal_reset_keeps_every_replayed_intent(
+        self, tmp_path, monkeypatch
+    ):
+        """A reset writes its anchor snapshot before it deletes history.
+
+        The first recovery of the corrupted journal above is crashed at
+        each step of its reset: at every segment unlink (the anchor is
+        already written) and at the reopening of the journal (every
+        segment is gone).  A second recovery must still land on intent 9
+        and hold the same state as an uninterrupted recovery.
+        """
+        source = tmp_path / "source"
+        _journaled_run(source)
+        segments = scan_journal(source).segments
+        lines = segments[0].read_bytes().splitlines(keepends=True)
+        broken_at = 9
+        lines[broken_at] = lines[broken_at].replace(b'"op":', b'"0p":', 1)
+        segments[0].write_bytes(b"".join(lines))
+
+        reference, _ = recover_service(
+            _make_service, shutil.copytree(source, tmp_path / "ref")
+        )
+        expected = canonical_json(reference.durable_state())
+        asyncio.run(reference.close())
+
+        class _Crash(Exception):
+            pass
+
+        real_unlink, real_journal = Path.unlink, recovery.IntentJournal
+        for step in range(len(segments) + 1):
+            wal = shutil.copytree(source, tmp_path / f"crash-{step}")
+            calls = []
+
+            def crash_point():
+                calls.append(None)
+                if len(calls) > step:
+                    raise _Crash
+
+            def unlink(path, *args, **kwargs):
+                if path.parent == wal:
+                    crash_point()
+                return real_unlink(path, *args, **kwargs)
+
+            def journal(*args, **kwargs):
+                crash_point()
+                return real_journal(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "unlink", unlink)
+                patch.setattr(recovery, "IntentJournal", journal)
+                with pytest.raises(_Crash):
+                    recover_service(_make_service, wal)
+
+            service, report = recover_service(_make_service, wal)
+            assert report.final_seq == broken_at, step
+            assert canonical_json(service.durable_state()) == expected, step
+            asyncio.run(service.close())
 
     def test_recovery_emits_obs_events(self, tmp_path):
         _journaled_run(tmp_path / "wal")
