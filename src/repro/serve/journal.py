@@ -74,12 +74,15 @@ class JournalRecord:
 class JournalScan:
     """Outcome of reading a journal directory back.
 
-    ``records`` is the replayable prefix (contiguous sequence numbers).
-    ``torn_tail_bytes`` counts bytes of an unterminated final record — an
-    append the crash interrupted before acknowledgement, dropped safely.
-    ``lost_records``/``lost_bytes`` quantify *acknowledged* intents that can
-    no longer be replayed (mid-stream corruption or a sequence gap); any
-    non-zero value here is reportable data loss, never silent.
+    ``records`` is the replayable run (contiguous sequence numbers), or
+    only its part past ``after_seq`` when :func:`scan_journal` was given
+    one.  ``last_seq`` names the last valid record either way, kept or
+    not.  ``torn_tail_bytes`` counts bytes of an unterminated final record
+    — an append the crash interrupted before acknowledgement, dropped
+    safely.  ``lost_records``/``lost_bytes`` quantify *acknowledged*
+    intents that can no longer be replayed (mid-stream corruption or a
+    sequence gap); any non-zero value here is reportable data loss, never
+    silent.
     """
 
     records: List[JournalRecord] = field(default_factory=list)
@@ -89,11 +92,8 @@ class JournalScan:
     lost_bytes: int = 0
     #: First error encountered (empty when the journal read back clean).
     error: str = ""
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the last replayable record (0 when empty)."""
-        return self.records[-1].seq if self.records else 0
+    #: Sequence number of the last replayable record (0 when none).
+    last_seq: int = 0
 
 
 def _encode(seq: int, intent: Dict[str, Any]) -> bytes:
@@ -160,7 +160,9 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def scan_journal(directory: Union[str, Path]) -> JournalScan:
+def scan_journal(
+    directory: Union[str, Path], *, after_seq: int = 0
+) -> JournalScan:
     """Read every segment back, validating framing, CRCs and seq continuity.
 
     The replayable run starts at the first decodable record's sequence
@@ -168,6 +170,12 @@ def scan_journal(directory: Union[str, Path]) -> JournalScan:
     the first invalid record or discontinuity; a torn final record of the
     *last* segment is dropped as unacknowledged, anything else unreadable
     is counted as loss.
+
+    Each segment is read once, and every record is decoded and checked
+    whatever ``after_seq`` is, so the loss figures, ``error`` and
+    ``last_seq`` do not depend on it.  Only records with ``seq >
+    after_seq`` are kept: recovery passes its snapshot's anchor and holds
+    just the suffix it replays.
     """
     directory = Path(directory)
     scan = JournalScan(segments=_list_segments(directory))
@@ -222,7 +230,9 @@ def scan_journal(directory: Union[str, Path]) -> JournalScan:
                         f"{expected}, found {record.seq}"
                     )
                 continue
-            scan.records.append(record)
+            if record.seq > after_seq:
+                scan.records.append(record)
+            scan.last_seq = record.seq
             expected += 1
     return scan
 
@@ -235,6 +245,10 @@ class IntentJournal:
     journaling into the same directory.  ``fsync=False`` trades durability
     for speed in tests that kill processes anyway (the torn-write chaos
     harness injects its own partial writes deterministically).
+
+    ``scan`` lets recovery open the journal from the :func:`scan_journal`
+    it already made of ``directory``, so the segments are not read and
+    decoded a second time.  It must describe the directory as it is now.
     """
 
     def __init__(
@@ -243,6 +257,8 @@ class IntentJournal:
         segment_records: int = 4096,
         fsync: bool = True,
         first_seq: int = 1,
+        *,
+        scan: Optional[JournalScan] = None,
     ) -> None:
         if segment_records < 1:
             raise ValueError("segment_records must be >= 1")
@@ -253,7 +269,8 @@ class IntentJournal:
         self._segment_records = segment_records
         self._fsync = fsync
         self._fd: Optional[int] = None
-        scan = scan_journal(self.directory)
+        if scan is None:
+            scan = scan_journal(self.directory)
         if scan.error:
             raise ValueError(
                 f"journal at {self.directory} is corrupt ({scan.error}); "
@@ -264,19 +281,12 @@ class IntentJournal:
         # from the last applied intent instead of restarting at 1.
         self._next_seq = max(scan.last_seq + 1, first_seq)
         self._segment_count = 0
-        if scan.segments and scan.torn_tail_bytes == 0:
+        if scan.segments:
+            last = scan.segments[-1]
+            if scan.torn_tail_bytes:
+                os.truncate(last, last.stat().st_size - scan.torn_tail_bytes)
             # Count the records already in the newest segment so rotation
             # keeps its bound across restarts.
-            last = scan.segments[-1]
-            first_of_last = int(
-                last.name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-            )
-            self._segment_count = self._next_seq - first_of_last
-            self._open_segment(last)
-        elif scan.segments:
-            last = scan.segments[-1]
-            valid = last.stat().st_size - scan.torn_tail_bytes
-            os.truncate(last, valid)
             first_of_last = int(
                 last.name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
             )

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ..cache.fingerprint import canonical_json, snapshot_digest
 from ..obs.trace import EV_RECOVERY, EV_SNAPSHOT
 from ..sched.engine import _CANCELLED, _DONE
-from .journal import IntentJournal, JournalRecord, fsync_directory, scan_journal
+from .journal import IntentJournal, fsync_directory, scan_journal
 
 __all__ = [
     "SERVICE_SNAPSHOT_SCHEMA",
@@ -371,6 +371,26 @@ def load_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
     return payload
 
 
+def _restore_newest_snapshot(
+    service, directory: Path, report: RecoveryReport
+) -> int:
+    """Restore the newest valid snapshot into ``service``; return its anchor.
+
+    Corrupt snapshots are noted in ``report`` and skipped.  The parsed
+    payload lives only until this returns.  0 means no snapshot was usable.
+    """
+    for path in reversed(list_snapshots(directory)):
+        try:
+            payload = load_snapshot(path)
+        except ValueError as exc:
+            report.corrupt_snapshots.append(str(exc))
+            continue
+        service.restore_durable_state(payload)
+        report.snapshot_path = str(path)
+        return payload["journal_seq"]
+    return 0
+
+
 def recover_service(
     factory: Callable[[], Any],
     journal_dir: Union[str, Path],
@@ -386,56 +406,43 @@ def recover_service(
     recovery restores state, replays the journal suffix, then attaches the
     journal itself and re-anchors a snapshot when needed.  Returns the
     recovered service and a :class:`RecoveryReport`.
+
+    Recovery holds only what it replays.  The newest valid snapshot is
+    restored first, and its parsed payload is dropped.  Then one
+    :func:`~repro.serve.journal.scan_journal` reads each segment once and
+    keeps only the records past the snapshot's anchor.  The resumed
+    :class:`~repro.serve.journal.IntentJournal` opens from that scan, not
+    from a second read; after a journal reset it opens on the emptied
+    directory.
     """
     directory = Path(journal_dir)
     # A crash between write_snapshot's mkstemp and its rename leaves the
     # temp file behind; nothing else would ever remove it.
     for orphan in directory.glob(f"{_TMP_PREFIX}*{_TMP_SUFFIX}"):
         orphan.unlink()
-    scan = scan_journal(directory)
-    report = RecoveryReport(
-        torn_tail_bytes=scan.torn_tail_bytes,
-        lost_records=scan.lost_records,
-        lost_bytes=scan.lost_bytes,
-        journal_error=scan.error,
-    )
-
-    chosen_payload: Optional[Dict[str, Any]] = None
-    for path in reversed(list_snapshots(directory)):
-        try:
-            chosen_payload = load_snapshot(path)
-        except ValueError as exc:
-            report.corrupt_snapshots.append(str(exc))
-            continue
-        report.snapshot_path = str(path)
-        break
-
     service = factory()
     if service._journal is not None:
         raise ValueError(
             "recovery factory must build the service without journal_dir; "
             "recover_service attaches the journal itself"
         )
-    anchor = 0
-    if chosen_payload is not None:
-        service.restore_durable_state(chosen_payload)
-        anchor = chosen_payload["journal_seq"]
+    report = RecoveryReport()
+    anchor = _restore_newest_snapshot(service, directory, report)
     report.snapshot_seq = anchor
 
+    scan = scan_journal(directory, after_seq=anchor)
+    report.torn_tail_bytes = scan.torn_tail_bytes
+    report.lost_records = scan.lost_records
+    report.lost_bytes = scan.lost_bytes
+    report.journal_error = scan.error
     # Replay the contiguous suffix past the anchor.  scan.records is itself
     # contiguous, so a first record beyond anchor+1 means the whole suffix
     # is unreachable (compaction outran every usable snapshot) — counted as
     # loss, never replayed across.
-    expected = anchor + 1
-    suffix: List[JournalRecord] = []
-    for record in scan.records:
-        if record.seq <= anchor:
-            continue
-        if record.seq != expected:
-            report.lost_records += 1
-            continue
-        suffix.append(record)
-        expected += 1
+    suffix = scan.records
+    if suffix and suffix[0].seq != anchor + 1:
+        report.lost_records += len(suffix)
+        suffix = []
     for record in suffix:
         service.apply_intent(record)
     applied = anchor + len(suffix)
@@ -455,14 +462,19 @@ def recover_service(
                 segment.unlink()
     report.journal_reset = reset
 
-    journal = IntentJournal(directory, fsync=journal_fsync, first_seq=applied + 1)
+    journal = IntentJournal(
+        directory,
+        fsync=journal_fsync,
+        first_seq=applied + 1,
+        scan=None if reset else scan,
+    )
     service._attach_journal(journal, snapshot_every, snapshot_keep)
     service._applied_seq = applied
     service._emitter.emit(
         service.clock,
         EV_RECOVERY,
         detail=(
-            f"anchor={anchor};replayed={len(suffix)};"
+            f"anchor={anchor};replayed={report.replayed_records};"
             f"lost={report.lost_records}"
         ),
     )

@@ -31,6 +31,7 @@ reach this service's streams or ledgers.
 from __future__ import annotations
 
 import asyncio
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -126,13 +127,18 @@ class JobInfo:
 
 
 class JobHandle:
-    """Live view of one submission; resolves when the job leaves the system."""
+    """Live view of one submission; resolves when the job leaves the system.
+
+    A handle reads job state from the service's engine, not the service, so
+    it holds no reference back to the service and keeps answering after
+    the service is closed and dropped.
+    """
 
     def __init__(
-        self, service: "SchedulerService", job: TraceJob, tenant: str,
+        self, engine: SchedulerEngine, job: TraceJob, tenant: str,
         estimate: float,
     ) -> None:
-        self._service = service
+        self._engine = engine
         self.job = job
         self.tenant = tenant
         self.estimate_gpu_seconds = estimate
@@ -149,7 +155,7 @@ class JobHandle:
         """``queued``/``rejected`` (service) or the engine's job status."""
         if self._service_status is not None:
             return self._service_status
-        state = self._service._engine.states.get(self.name)
+        state = self._engine.states.get(self.name)
         if state is None:  # accepted handles always have engine state
             return _ST_QUEUED
         return state.status
@@ -172,7 +178,7 @@ class JobHandle:
         return self.info()
 
     def info(self) -> JobInfo:
-        state = self._service._engine.states.get(self.name)
+        state = self._engine.states.get(self.name)
         if state is None:
             return JobInfo(
                 name=self.name,
@@ -219,13 +225,15 @@ class _ServiceEmitter:
     Implements the :class:`~repro.obs.trace.TraceRecorder` surface the
     scheduler's emission sites call (``begin_run``/``emit``), forwards
     verbatim to the optional inner recorder, and hands each event to the
-    service for accounting and ``watch()`` broadcast.
+    service for accounting and ``watch()`` broadcast.  It is the engine's
+    recorder, so it holds the service weakly: the service is then in no
+    reference cycle and is freed as soon as the caller drops it.
     """
 
     def __init__(
         self, service: "SchedulerService", recorder: Optional[TraceRecorder]
     ) -> None:
-        self._service = service
+        self._service = weakref.ref(service)
         self._recorder = recorder
 
     def begin_run(self, fleet, policy: str) -> None:
@@ -249,7 +257,7 @@ class _ServiceEmitter:
                 time, kind, job=job, pool=pool, host=host, gpus=gpus,
                 width=width, free_gpus=free_gpus, detail=detail,
             )
-        self._service._on_event(
+        self._service()._on_event(
             ObsEvent(
                 time=time, kind=kind, job=job, pool=pool, host=host,
                 gpus=tuple(gpus), width=width, free_gpus=free_gpus,
@@ -423,7 +431,7 @@ class SchedulerService:
         )
         account = self.account(tenant_id)
         estimate = self._estimate(job)
-        handle = JobHandle(self, job, tenant_id, estimate)
+        handle = JobHandle(self._engine, job, tenant_id, estimate)
         decision = self.admission.decide(account, job, estimate)
         self._jobs[name] = handle
         _SUBMISSIONS.add(1)
@@ -684,7 +692,7 @@ class SchedulerService:
             self._accounts[row["name"]] = TenantAccount.load(row)
         for row in payload["jobs"]:
             job = load_trace_job(row["job"])
-            handle = JobHandle(self, job, row["tenant"], row["estimate"])
+            handle = JobHandle(self._engine, job, row["tenant"], row["estimate"])
             handle._service_status = row["service_status"]
             handle._finished = row["finished"]
             self._jobs[job.name] = handle

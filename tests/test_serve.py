@@ -12,7 +12,9 @@ leaves no hold outstanding and no submission unresolved.
 """
 
 import asyncio
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -228,6 +230,54 @@ class TestSubmitAPI:
                 service.watch()
 
         asyncio.run(run())
+
+    def test_closed_dropped_service_is_freed_by_reference_counting(
+        self, tmp_path
+    ):
+        """No reference cycle holds a service, so dropping it frees it.
+
+        The engine's recorder holds the service weakly and handles read
+        job state through the engine, so with the cycle collector off a
+        closed, unreferenced service is gone, and the handles its caller
+        kept still answer.
+        """
+
+        async def run():
+            service = _service(
+                admission=QuotaAdmission(
+                    default=TenantQuota(gpu_seconds=40.0, max_pending=1)
+                ),
+                journal_dir=tmp_path / "wal",
+                snapshot_every=3,
+            )
+            stream = service.watch()
+            handles = [
+                await service.submit(_job(f"fg-{index}", arrival=float(index)))
+                for index in range(6)
+            ]
+            await service.cancel("fg-5")
+            await service.drain()
+            await service.close()
+            events = [event async for event in stream]
+            return weakref.ref(service), handles, events
+
+        gc.collect()
+        gc.disable()
+        try:
+            service_ref, handles, events = asyncio.run(run())
+            assert service_ref() is None
+        finally:
+            gc.enable()
+        assert events
+        statuses = {handle.status() for handle in handles}
+        assert {"done", "rejected", "cancelled"} <= statuses
+        for handle in handles:
+            info = handle.info()
+            assert info.status == handle.status()
+            assert info.name == handle.name
+        done = [handle.info() for handle in handles if handle.status() == "done"]
+        assert all(info.remaining_iterations == 0 for info in done)
+        assert all(info.busy_gpu_seconds > 0 for info in done)
 
     def test_handle_wait_resolves_with_final_info(self):
         async def run():

@@ -16,6 +16,9 @@ import shutil
 import stat
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import asdict, replace
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,7 @@ from repro.serve import (
     CrashPoint,
     IntentJournal,
     QuotaAdmission,
+    RecoveryReport,
     SchedulerService,
     TenantQuota,
     list_snapshots,
@@ -83,8 +87,10 @@ def _baseline_fingerprint():
     return _run_script(_make_service())
 
 
-def _journaled_run(directory, **kwargs):
+def _journaled_run(directory, segment_records=None, **kwargs):
     service = _make_service(journal_dir=directory, **kwargs)
+    if segment_records is not None:
+        service.journal._segment_records = segment_records
     fingerprint = _run_script(service)
     asyncio.run(service.close())
     return fingerprint
@@ -106,15 +112,55 @@ def _recovered_fingerprint(directory, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-class TestIntentJournal:
-    def _fill(self, directory, count, segment_records=4096):
-        with IntentJournal(directory, segment_records=segment_records) as journal:
-            for index in range(count):
-                seq = journal.append({"op": "noop", "index": index})
-                assert seq == index + 1
+def _fill_journal(directory, count, segment_records=4096):
+    with IntentJournal(directory, segment_records=segment_records) as journal:
+        for index in range(count):
+            seq = journal.append({"op": "noop", "index": index})
+            assert seq == index + 1
 
+
+def _ten_records(directory):
+    _fill_journal(directory, 10, segment_records=3)
+
+
+def _torn_journal(directory):
+    _ten_records(directory)
+    with scan_journal(directory).segments[-1].open("ab") as fh:
+        fh.write(b'J1 11 27 00000000 {"op":"half')  # no terminator
+
+
+def _corrupt_journal(directory):
+    _ten_records(directory)
+    segment = scan_journal(directory).segments[1]  # records 4-6
+    lines = segment.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"noop"', b'"n0op"')  # record 5: CRC breaks
+    segment.write_bytes(b"".join(lines))
+
+
+def _gapped_journal(directory):
+    _ten_records(directory)
+    scan_journal(directory).segments[1].unlink()  # records 4-6
+
+
+def _compacted_journal(directory):
+    _ten_records(directory)
+    with IntentJournal(directory, segment_records=3) as journal:
+        journal.compact(7)  # the journal now starts at record 7
+
+
+#: Ten noop records in segments of three, then one kind of damage each.
+_JOURNAL_SCENARIOS = {
+    "clean": _ten_records,
+    "torn-tail": _torn_journal,
+    "corrupt-record": _corrupt_journal,
+    "sequence-gap": _gapped_journal,
+    "compacted-head": _compacted_journal,
+}
+
+
+class TestIntentJournal:
     def test_append_scan_roundtrip(self, tmp_path):
-        self._fill(tmp_path, 5)
+        _fill_journal(tmp_path, 5)
         scan = scan_journal(tmp_path)
         assert not scan.error
         assert scan.torn_tail_bytes == 0
@@ -123,14 +169,14 @@ class TestIntentJournal:
         assert scan.last_seq == 5
 
     def test_reopen_resumes_numbering(self, tmp_path):
-        self._fill(tmp_path, 3)
+        _fill_journal(tmp_path, 3)
         with IntentJournal(tmp_path) as journal:
             assert journal.next_seq == 4
             assert journal.append({"op": "noop"}) == 4
         assert scan_journal(tmp_path).last_seq == 4
 
     def test_rotation_splits_segments(self, tmp_path):
-        self._fill(tmp_path, 10, segment_records=3)
+        _fill_journal(tmp_path, 10, segment_records=3)
         scan = scan_journal(tmp_path)
         assert len(scan.segments) == 4
         assert [r.seq for r in scan.records] == list(range(1, 11))
@@ -138,7 +184,7 @@ class TestIntentJournal:
         assert scan.segments[-1].name == "wal-000000000010.log"
 
     def test_compaction_drops_covered_segments_only(self, tmp_path):
-        self._fill(tmp_path, 10, segment_records=3)
+        _fill_journal(tmp_path, 10, segment_records=3)
         with IntentJournal(tmp_path, segment_records=3) as journal:
             removed = journal.compact(7)
         # Segments 1-3 and 4-6 are wholly <= 7; segment 7-9 still holds 8, 9.
@@ -152,13 +198,13 @@ class TestIntentJournal:
         assert [r.seq for r in scan.records] == list(range(7, 11))
 
     def test_compaction_never_removes_the_only_segment(self, tmp_path):
-        self._fill(tmp_path, 4)
+        _fill_journal(tmp_path, 4)
         with IntentJournal(tmp_path) as journal:
             assert journal.compact(10_000) == []
         assert scan_journal(tmp_path).last_seq == 4
 
     def test_torn_tail_is_dropped_and_truncated_on_reopen(self, tmp_path):
-        self._fill(tmp_path, 3)
+        _fill_journal(tmp_path, 3)
         segment = scan_journal(tmp_path).segments[-1]
         clean_size = segment.stat().st_size
         with segment.open("ab") as fh:
@@ -175,7 +221,7 @@ class TestIntentJournal:
         assert [r.seq for r in scan_journal(tmp_path).records] == [1, 2, 3, 4]
 
     def test_midstream_corruption_quantifies_loss(self, tmp_path):
-        self._fill(tmp_path, 6)
+        _fill_journal(tmp_path, 6)
         segment = scan_journal(tmp_path).segments[0]
         lines = segment.read_bytes().splitlines(keepends=True)
         # Flip one payload byte of record 3; length stays right, CRC breaks.
@@ -191,7 +237,7 @@ class TestIntentJournal:
             IntentJournal(tmp_path)
 
     def test_missing_segment_is_a_sequence_gap(self, tmp_path):
-        self._fill(tmp_path, 9, segment_records=3)
+        _fill_journal(tmp_path, 9, segment_records=3)
         scan_journal(tmp_path).segments[1].unlink()  # records 4-6
         scan = scan_journal(tmp_path)
         assert "sequence gap" in scan.error
@@ -204,6 +250,26 @@ class TestIntentJournal:
         scan = scan_journal(tmp_path)
         assert not scan.error
         assert [r.seq for r in scan.records] == [41]
+
+    @pytest.mark.parametrize("scenario", sorted(_JOURNAL_SCENARIOS))
+    def test_suffix_scan_equals_the_full_scan_past_every_cut(
+        self, tmp_path, scenario
+    ):
+        """``after_seq=k`` keeps the full scan's records past ``k`` only.
+
+        Every other field (torn tail, loss, error, segments, ``last_seq``)
+        must not depend on the cut, including cuts at or past the last
+        record, where nothing is kept.
+        """
+        _JOURNAL_SCENARIOS[scenario](tmp_path)
+        full = scan_journal(tmp_path)
+        assert full.last_seq == (full.records[-1].seq if full.records else 0)
+        for cut in range(0, full.last_seq + 3):
+            suffix = scan_journal(tmp_path, after_seq=cut)
+            expected = replace(
+                full, records=[r for r in full.records if r.seq > cut]
+            )
+            assert suffix == expected, cut
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="segment_records"):
@@ -529,6 +595,138 @@ class TestRecovery:
                 lambda: _make_service(journal_dir=tmp_path / "other"),
                 tmp_path / "wal",
             )
+
+
+# ---------------------------------------------------------------------------
+# One journal scan per recovery
+# ---------------------------------------------------------------------------
+
+
+def _durable_run(directory, snapshot_every=5):
+    """The scripted run, in journal segments of four records."""
+    _journaled_run(directory, segment_records=4, snapshot_every=snapshot_every)
+
+
+def _torn_run(directory):
+    _durable_run(directory)
+    with scan_journal(directory).segments[-1].open("ab") as fh:
+        fh.write(b'J1 15 39 00000000 {"op":"submit","to')
+
+
+def _corrupt_snapshot_run(directory):
+    _durable_run(directory)
+    newest = list_snapshots(directory)[-1]
+    newest.write_text(newest.read_text()[:-40])
+
+
+def _corrupt_journal_run(directory):
+    _durable_run(directory)
+    segment = scan_journal(directory).segments[1]  # records 9-12
+    lines = segment.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b'"op":', b'"0p":', 1)  # record 12
+    segment.write_bytes(b"".join(lines))
+
+
+#: Durable directories of the scripted run: snapshots at intents 5 and 10
+#: (the journal compacted behind 5) unless cold, then one kind of damage.
+_RECOVERY_SCENARIOS = {
+    "cold": lambda directory: _durable_run(directory, snapshot_every=None),
+    "clean": _durable_run,
+    "torn-tail": _torn_run,
+    "corrupt-snapshot": _corrupt_snapshot_run,
+    "journal-reset": _corrupt_journal_run,
+}
+
+#: The durable state after all 14 intents, however recovery got there.
+_ALL_INTENTS = "127f137bd0ae4caf69919ac0d1de6450766b6bef328c895327368dfaef882457"
+
+
+def _report(snapshot_path=None, snapshot_seq=0, **fields):
+    return asdict(
+        RecoveryReport(
+            snapshot_path=snapshot_path, snapshot_seq=snapshot_seq, **fields
+        )
+    )
+
+
+#: Each scenario's RecoveryReport (snapshot_path as a file name) and the
+#: sha256 of the recovered service's canonical durable_state().  Literals:
+#: how recovery reads the journal must not change what it recovers.
+_RECOVERED = {
+    "cold": (
+        _report(replayed_records=14, final_seq=14),
+        _ALL_INTENTS,
+    ),
+    "clean": (
+        _report("state-000000000010.json", 10, replayed_records=4, final_seq=14),
+        _ALL_INTENTS,
+    ),
+    "torn-tail": (
+        _report(
+            "state-000000000010.json", 10, replayed_records=4, final_seq=14,
+            torn_tail_bytes=36,
+        ),
+        _ALL_INTENTS,
+    ),
+    "corrupt-snapshot": (
+        _report(
+            "state-000000000005.json", 5, replayed_records=9, final_seq=14,
+            corrupt_snapshots=[
+                "snapshot state-000000000010.json: not a canonical "
+                "schema-1 snapshot document"
+            ],
+        ),
+        _ALL_INTENTS,
+    ),
+    "journal-reset": (
+        _report(
+            "state-000000000010.json", 10, replayed_records=1, final_seq=11,
+            lost_records=2, lost_bytes=393,
+            journal_error="corrupt record in wal-000000000009.log",
+            journal_reset=True,
+        ),
+        "0557c46005f1432e68972491bfbcb35af77ffcbe2865b7a217303f3334cdafa4",
+    ),
+}
+
+
+class TestRecoveryScan:
+    @pytest.mark.parametrize("scenario", sorted(_RECOVERY_SCENARIOS))
+    def test_recovery_reads_each_segment_once(
+        self, tmp_path, monkeypatch, scenario
+    ):
+        """One scan per recovery, holding only the records it replays."""
+        wal = tmp_path / "wal"
+        _RECOVERY_SCENARIOS[scenario](wal)
+        segments = scan_journal(wal).segments
+        reads = Counter()
+        scans = []
+        real_read, real_scan = Path.read_bytes, recovery.scan_journal
+
+        def read_bytes(path):
+            if path.parent == wal and path.name.startswith("wal-"):
+                reads[path.name] += 1
+            return real_read(path)
+
+        def scan(*args, **kwargs):
+            scans.append(real_scan(*args, **kwargs))
+            return scans[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_bytes", read_bytes)
+            patch.setattr(recovery, "scan_journal", scan)
+            service, report = recover_service(_make_service, wal)
+        state = canonical_json(service.durable_state())
+        asyncio.run(service.close())
+
+        assert reads == Counter(segment.name for segment in segments)
+        assert len(scans) == 1
+        assert len(scans[0].records) == report.replayed_records
+        fields = asdict(report)
+        if report.snapshot_path is not None:
+            fields["snapshot_path"] = Path(report.snapshot_path).name
+        digest = sha256(state.encode()).hexdigest()
+        assert (fields, digest) == _RECOVERED[scenario]
 
 
 # ---------------------------------------------------------------------------
