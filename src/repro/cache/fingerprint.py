@@ -38,17 +38,24 @@ __all__ = [
 ]
 
 
+#: The one encoder behind :func:`canonical_json`: ``json.dumps`` with these
+#: arguments builds a fresh ``JSONEncoder`` on every call.
+_CANONICAL_ENCODE = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
+
 def canonical_json(data: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace, exact float reprs.
 
     ``repr``-based float serialization (the ``json`` default) round-trips
     exactly, so numerically identical inputs always produce byte-identical
     canonical strings.  NaN/Infinity are rejected: they have no canonical
-    JSON form and would silently produce unshareable keys.
+    JSON form and would silently produce unshareable keys.  The output is
+    ``json.dumps(data, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)``, from one module-level encoder shared by every call.
     """
-    return json.dumps(
-        data, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL_ENCODE(data)
 
 
 def fingerprint(*parts: Any) -> str:

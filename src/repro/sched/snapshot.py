@@ -41,8 +41,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..cache.fingerprint import (
     canonical_json,
@@ -78,6 +80,9 @@ _EMPTY_GUEST_ORDER = SortedJobList().dump()
 # the arrival handler tests ``status is not _PENDING`` by identity, and
 # strings parsed from JSON are not interned.
 _STATUSES = {status: status for status in (_PENDING, _RUNNING, _DONE, _CANCELLED)}
+
+#: ``EngineSnapshot.capture``'s default: no row arrives already encoded.
+_NO_ROWS: Mapping[str, bytes] = MappingProxyType({})
 
 #: A job row's ``_JobState.PERSISTED`` values, read from a state and a row.
 _read_persisted = attrgetter(*_JobState.PERSISTED)
@@ -194,12 +199,29 @@ class EngineSnapshot:
 
     # ----------------------------------------------------------------- capture
     @classmethod
-    def capture(cls, engine) -> "EngineSnapshot":
-        """Freeze a live engine's run state into a serializable payload."""
+    def capture(
+        cls,
+        engine,
+        encoded_jobs: Mapping[str, bytes] = _NO_ROWS,
+        encoded_records: Sequence[bytes] = (),
+    ) -> "EngineSnapshot":
+        """Freeze a live engine's run state into a serializable payload.
+
+        A snapshot writer that already holds the canonical-JSON bytes of
+        some rows passes them in: ``encoded_jobs`` by job name, and
+        ``encoded_records`` as a prefix of ``records``.  Those rows go
+        into the payload as the ``bytes`` given and are not built again.
+        With neither, every row is a dict (the public payload).
+        """
         sched = engine.scheduler
-        jobs: List[Dict[str, Any]] = [
-            _dump_job_state(state) for state in engine.states.values()
+        jobs: List[Any] = [
+            encoded_jobs.get(name) or _dump_job_state(state)
+            for name, state in engine.states.items()
         ]
+        records: List[Any] = list(encoded_records)
+        records.extend(
+            dump_record(r) for r in islice(engine.records, len(records), None)
+        )
         payload: Dict[str, Any] = {
             "schema": SNAPSHOT_SCHEMA,
             "policy": engine.policy.name,
@@ -217,7 +239,7 @@ class EngineSnapshot:
             "fg_running": engine.fg_running.dump(),
             "bg_dedicated": engine.bg_dedicated.dump(),
             "jobs": jobs,
-            "records": [dump_record(r) for r in engine.records],
+            "records": records,
         }
         return cls(payload)
 

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..sched.scheduler import ClusterScheduler
 from ..sched.traces import alibaba_trace, mixed_trace, synthetic_trace
 from .admission import QuotaAdmission, TenantQuota
-from .journal import scan_journal
+from .journal import list_segments
 from .recovery import list_snapshots, recover_service
 from .replay import result_fingerprint
 from .service import SchedulerService, default_tenant
@@ -295,9 +295,8 @@ def run_chaos_worker(
         service = _build_service(spec, None, recorder)
     else:
         directory = Path(journal_dir)
-        scan = scan_journal(directory)
-        has_state = bool(scan.segments or scan.records or list_snapshots(directory))
-        if has_state:
+        # The listing alone decides: recovery's one scan reads the segments.
+        if list_segments(directory) or list_snapshots(directory):
             service, report = recover_service(
                 lambda: _build_service(spec, None, recorder),
                 directory,

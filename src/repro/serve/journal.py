@@ -54,6 +54,7 @@ __all__ = [
     "JournalRecord",
     "JournalScan",
     "fsync_directory",
+    "list_segments",
     "scan_journal",
 ]
 
@@ -134,7 +135,9 @@ def _segment_path(directory: Path, first_seq: int) -> Path:
     return directory / f"{_SEGMENT_PREFIX}{first_seq:012d}{_SEGMENT_SUFFIX}"
 
 
-def _list_segments(directory: Path) -> List[Path]:
+def list_segments(directory: Union[str, Path]) -> List[Path]:
+    """Journal segment files under ``directory``, oldest first."""
+    directory = Path(directory)
     if not directory.is_dir():
         return []
     out = [
@@ -178,7 +181,7 @@ def scan_journal(
     just the suffix it replays.
     """
     directory = Path(directory)
-    scan = JournalScan(segments=_list_segments(directory))
+    scan = JournalScan(segments=list_segments(directory))
     expected: Optional[int] = None
     broken = False
     for index, segment in enumerate(scan.segments):
@@ -356,7 +359,7 @@ class IntentJournal:
         is at or below ``upto_seq`` — the sequence a durable snapshot
         already captures.  Returns the deleted paths.
         """
-        segments = _list_segments(self.directory)
+        segments = list_segments(self.directory)
         removed: List[Path] = []
         for current, following in zip(segments, segments[1:]):
             last_in_current = (

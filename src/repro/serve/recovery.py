@@ -168,22 +168,23 @@ def _put_array(out: List[bytes], items: List[bytes]) -> None:
 
 def _put_rows(
     out: List[bytes],
-    rows: List[Dict[str, Any]],
+    rows: List[Any],
     memo: Dict[str, bytes],
     frozen_name: Callable[[Dict[str, Any]], Optional[str]],
 ) -> None:
-    """Append the array of ``rows``, reusing the memoized bytes of each row
-    ``frozen_name`` names (one that can no longer change)."""
+    """Append the array of ``rows``.  A row that is already ``bytes`` (a
+    memo entry the capture put in) goes in as is; a dict row is encoded,
+    and ``memo`` keeps its bytes when ``frozen_name`` names it (a row that
+    can no longer change)."""
     items = []
     for row in rows:
-        name = frozen_name(row)
-        if name is None:
-            item = _encode(row)
-        else:
-            item = memo.get(name)
-            if item is None:
-                item = memo[name] = _encode(row)
-        items.append(item)
+        if not isinstance(row, bytes):
+            encoded = _encode(row)
+            name = frozen_name(row)
+            if name is not None:
+                memo[name] = encoded
+            row = encoded
+        items.append(row)
     _put_array(out, items)
 
 
@@ -200,22 +201,33 @@ class SnapshotEncoder:
 
     Rows that can no longer change are encoded once and their bytes
     reused by every later snapshot: engine ``jobs`` rows whose status is
-    ``done`` or ``cancelled``, every engine ``records`` row (that list
-    only grows within one service), and service ``jobs`` rows with
-    ``finished`` set.  Only bytes are kept, never the row dicts.  Each
+    ``done`` or ``cancelled`` (``engine_jobs``, by job name), every engine
+    ``records`` row (``records``; that list only grows within one
+    service), and service ``jobs`` rows with ``finished`` set
+    (``service_jobs``, by job name).  Only bytes are kept, never the row
+    dicts.  The snapshot writer hands this encoder to
+    :meth:`~repro.serve.service.SchedulerService.durable_state`, which
+    puts those bytes in the payload in place of the rows, so a frozen row
+    is built and encoded once per service.  Each
     :class:`~repro.serve.service.SchedulerService` owns one encoder, so a
     service restored by recovery starts with an empty memo.
     """
 
-    __slots__ = ("_engine_jobs", "_records", "_service_jobs")
+    __slots__ = ("engine_jobs", "records", "service_jobs")
 
     def __init__(self) -> None:
-        self._engine_jobs: Dict[str, bytes] = {}
-        self._records: List[bytes] = []
-        self._service_jobs: Dict[str, bytes] = {}
+        self.engine_jobs: Dict[str, bytes] = {}
+        self.records: List[bytes] = []
+        self.service_jobs: Dict[str, bytes] = {}
 
     def encode(self, payload: Dict[str, Any]) -> List[bytes]:
-        """``canonical_json(payload).encode()`` split into pieces, in order."""
+        """``canonical_json(payload).encode()`` split into pieces, in order.
+
+        A row of ``payload`` may already be its canonical ``bytes`` (as
+        :meth:`~repro.serve.service.SchedulerService.durable_state` puts
+        this encoder's memo entries); the pieces are the encoding of the
+        payload with each such row decoded.
+        """
         out: List[bytes] = []
         _put_object(
             out,
@@ -231,16 +243,16 @@ class SnapshotEncoder:
             {"jobs": self._put_engine_jobs, "records": self._put_records},
         )
 
-    def _put_engine_jobs(self, out: List[bytes], rows: List[Dict]) -> None:
-        _put_rows(out, rows, self._engine_jobs, _frozen_engine_job)
+    def _put_engine_jobs(self, out: List[bytes], rows: List[Any]) -> None:
+        _put_rows(out, rows, self.engine_jobs, _frozen_engine_job)
 
-    def _put_records(self, out: List[bytes], rows: List[Dict]) -> None:
-        memo = self._records
+    def _put_records(self, out: List[bytes], rows: List[Any]) -> None:
+        memo = self.records
         memo.extend(_encode(row) for row in rows[len(memo):])
         _put_array(out, memo)
 
-    def _put_service_jobs(self, out: List[bytes], rows: List[Dict]) -> None:
-        _put_rows(out, rows, self._service_jobs, _frozen_service_job)
+    def _put_service_jobs(self, out: List[bytes], rows: List[Any]) -> None:
+        _put_rows(out, rows, self.service_jobs, _frozen_service_job)
 
 
 def write_snapshot(service) -> Path:
@@ -263,11 +275,13 @@ def _write_snapshot_file(service, directory: Path, fsync_dir: bool) -> Path:
     """Write the service's durable state to ``state-<seq>.json``, durably.
 
     The document is ``canonical_json({"schema", "fingerprint", "payload"})``.
-    The payload from :meth:`~repro.serve.service.SchedulerService.durable_state`
-    is encoded once, as byte pieces by the service's
-    :class:`SnapshotEncoder`, which reuses the bytes of rows that can no
-    longer change, so a snapshot encodes only the rows changed since the
-    service's earlier ones.  The fingerprint is the digest of those pieces,
+    The payload is captured by
+    :meth:`~repro.serve.service.SchedulerService.durable_state` with the
+    service's :class:`SnapshotEncoder`, so rows that can no longer change
+    and were encoded by an earlier snapshot come as their bytes, never
+    built again.  It is encoded once, as byte pieces by that encoder, so a
+    snapshot builds and encodes only the rows changed since the service's
+    earlier ones.  The fingerprint is the digest of those pieces,
     and the file is the pieces, streamed with ``writelines``, between the
     document's other keys in sorted order; the document is never joined
     into one string.  It goes through a same-directory temp file and
@@ -276,8 +290,9 @@ def _write_snapshot_file(service, directory: Path, fsync_dir: bool) -> Path:
     orphaned temp file); with ``fsync_dir``, the directory is fsynced
     after the rename so the new name survives a power cut.
     """
-    payload = service.durable_state()
-    pieces = service._snapshot_encoder.encode(payload)
+    encoder = service._snapshot_encoder
+    payload = service.durable_state(encoder=encoder)
+    pieces = encoder.encode(payload)
     head = _HEAD_OPEN + snapshot_digest(*pieces).encode() + _HEAD_CLOSE
     path = directory / f"{_SNAP_PREFIX}{payload['journal_seq']:012d}{_SNAP_SUFFIX}"
     fd, tmp = tempfile.mkstemp(

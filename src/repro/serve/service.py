@@ -224,10 +224,16 @@ class _ServiceEmitter:
 
     Implements the :class:`~repro.obs.trace.TraceRecorder` surface the
     scheduler's emission sites call (``begin_run``/``emit``), forwards
-    verbatim to the optional inner recorder, and hands each event to the
-    service for accounting and ``watch()`` broadcast.  It is the engine's
-    recorder, so it holds the service weakly: the service is then in no
-    reference cycle and is freed as soon as the caller drops it.
+    verbatim to the optional inner recorder, broadcasts to the service's
+    ``watch()`` streams and does the service's tenant accounting.  Each
+    event is paid for by its readers only: the frozen
+    :class:`~repro.obs.trace.ObsEvent` is built when a ``watch()`` stream
+    is open, and the accounting reads the emission's arguments directly.
+    Watchers get each event before its accounting runs, so an emission
+    the accounting triggers (a completion re-admitting a queued job)
+    reaches them after it, in the inner recorder's order.  It is the
+    engine's recorder, so it holds the service weakly: the service is then
+    in no reference cycle and is freed as soon as the caller drops it.
     """
 
     def __init__(
@@ -257,13 +263,17 @@ class _ServiceEmitter:
                 time, kind, job=job, pool=pool, host=host, gpus=gpus,
                 width=width, free_gpus=free_gpus, detail=detail,
             )
-        self._service()._on_event(
-            ObsEvent(
-                time=time, kind=kind, job=job, pool=pool, host=host,
-                gpus=tuple(gpus), width=width, free_gpus=free_gpus,
-                detail=detail,
+        service = self._service()
+        if service._watchers:
+            service._broadcast(
+                ObsEvent(
+                    time=time, kind=kind, job=job, pool=pool, host=host,
+                    gpus=tuple(gpus), width=width, free_gpus=free_gpus,
+                    detail=detail,
+                )
             )
-        )
+        if job:
+            service._on_event(time, kind, job, detail)
 
 
 class SchedulerService:
@@ -637,7 +647,9 @@ class SchedulerService:
             self._replaying = False
         self._applied_seq = record.seq
 
-    def durable_state(self) -> Dict[str, Any]:
+    def durable_state(
+        self, *, encoder: Optional[SnapshotEncoder] = None
+    ) -> Dict[str, Any]:
         """Everything recovery needs, as one canonical-JSON-able payload.
 
         Captures the engine (via
@@ -645,21 +657,36 @@ class SchedulerService:
         ledger, every job handle, the backpressure queues and the quota
         overrides, anchored to the journal sequence it reflects
         (``journal_seq``) so recovery knows exactly which suffix to replay.
+
+        ``encoder`` is the snapshot writer's: the service's own
+        :class:`~repro.serve.recovery.SnapshotEncoder`.  Every row whose
+        canonical bytes it already holds (a finished job, a ``done`` or
+        ``cancelled`` engine job, a completion record) is then put in the
+        payload as those ``bytes`` and never built as a dict.  Without it,
+        as every other caller uses it, the payload is all plain values.
         """
+        if encoder is None:
+            encoded: Dict[str, bytes] = {}
+            engine = EngineSnapshot.capture(self._engine)
+        else:
+            encoded = encoder.service_jobs
+            engine = EngineSnapshot.capture(
+                self._engine, encoder.engine_jobs, encoder.records
+            )
         jobs = [
-            {
+            encoded.get(name) or {
                 "job": dump_trace_job(handle.job),
                 "tenant": handle.tenant,
                 "estimate": handle.estimate_gpu_seconds,
                 "service_status": handle._service_status,
                 "finished": handle._finished,
             }
-            for handle in self._jobs.values()
+            for name, handle in self._jobs.items()
         ]
         return {
             "journal_seq": self._applied_seq,
             "clock": self._engine.clock,
-            "engine": EngineSnapshot.capture(self._engine).payload,
+            "engine": engine.payload,
             "tenants": [
                 self._accounts[name].dump() for name in sorted(self._accounts)
             ],
@@ -760,28 +787,31 @@ class SchedulerService:
 
         return _stream()
 
-    def _on_event(self, event: ObsEvent) -> None:
-        """Single sink for every emission: accounting + watch broadcast."""
+    def _broadcast(self, event: ObsEvent) -> None:
+        """Hand one event to every ``watch()`` stream subscribed to its kind."""
         kind = event.kind
-        if event.job:
-            handle = self._jobs.get(event.job)
-            if handle is not None:
-                account = self._accounts[handle.tenant]
-                if kind in (EV_PLACEMENT, EV_COLLOCATE):
-                    account.engine_pending -= 1
-                elif kind in (EV_PREEMPTION, EV_DETACH, EV_KILL):
-                    account.engine_pending += 1
-                elif kind == EV_CANCEL and event.detail == "pending":
-                    account.engine_pending -= 1
-                elif kind == EV_COMPLETION:
-                    self._on_completion(handle, account, event)
         for queue, kinds in self._watchers:
             if kinds is None or kind in kinds:
                 queue.put_nowait(event)
                 _WATCH_EVENTS.add(1)
 
+    def _on_event(self, time: float, kind: str, job: str, detail: str) -> None:
+        """Tenant accounting for one emission that names a job."""
+        handle = self._jobs.get(job)
+        if handle is None:
+            return
+        account = self._accounts[handle.tenant]
+        if kind in (EV_PLACEMENT, EV_COLLOCATE):
+            account.engine_pending -= 1
+        elif kind in (EV_PREEMPTION, EV_DETACH, EV_KILL):
+            account.engine_pending += 1
+        elif kind == EV_CANCEL and detail == "pending":
+            account.engine_pending -= 1
+        elif kind == EV_COMPLETION:
+            self._on_completion(handle, account, time)
+
     def _on_completion(
-        self, handle: JobHandle, account: TenantAccount, event: ObsEvent
+        self, handle: JobHandle, account: TenantAccount, time: float
     ) -> None:
         state = self._engine.states[handle.name]
         account.settle(
@@ -792,7 +822,7 @@ class SchedulerService:
         handle._resolve()
         # Freed quota may unblock backpressured submissions; re-admission
         # happens at the completion's simulated time, deterministically.
-        self._pump(event.time)
+        self._pump(time)
 
     # ------------------------------------------------------------ backpressure
     def _pump(self, now: float) -> None:

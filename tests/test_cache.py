@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache import (
     CACHE_DIR_ENV,
@@ -23,6 +25,23 @@ from repro.models.registry import build_model
 from repro.network.fabric import get_fabric
 from repro.profiler.gpu_spec import A100_40GB, V100_32GB
 from repro.profiler.layer_profiler import LayerProfiler
+
+#: JSON-able scalars as the fingerprints and snapshots carry them: ints far
+#: past 64 bits, finite floats (``-0.0`` and subnormals included), and text
+#: with non-ASCII and control characters.
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=40,
+)
 
 
 def _tiny_graph(name="tiny", dense_flops=1000.0):
@@ -43,6 +62,31 @@ class TestFingerprints:
     def test_canonical_json_rejects_nan(self):
         with pytest.raises(ValueError):
             canonical_json(float("inf"))
+
+    @given(_json_values)
+    def test_canonical_json_equals_json_dumps(self, value):
+        """The shared encoder writes what a fresh ``json.dumps`` writes."""
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+
+    @given(
+        _json_values,
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        st.integers(0, 2),
+    )
+    def test_canonical_json_rejects_non_finite_floats_anywhere(
+        self, value, bad, depth
+    ):
+        nested = [value, bad]
+        for _ in range(depth):
+            nested = {"k": nested, "v": value}
+        with pytest.raises(ValueError):
+            canonical_json(nested)
+        # The rejection leaves the shared encoder fit for the next call.
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
 
     def test_fingerprint_is_stable_and_input_sensitive(self):
         assert fingerprint("x", 1) == fingerprint("x", 1)

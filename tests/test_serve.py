@@ -15,17 +15,20 @@ import asyncio
 import gc
 import json
 import weakref
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.fingerprint import canonical_json
 from repro.obs import (
     EV_CANCEL,
     EV_COMPLETION,
     EV_PLACEMENT,
     EV_SUBMIT,
+    ObsEvent,
     TraceRecorder,
 )
 from repro.profiler.gpu_spec import A100_40GB, V100_32GB
@@ -621,6 +624,108 @@ class TestWatch:
         ]
         assert any(e.kind == EV_SUBMIT for e in recorded)
         assert any(e.kind == EV_CANCEL for e in recorded)
+
+
+def _emitter_script_run(mode):
+    """One scripted run with cancels, backpressure and a quota change.
+
+    ``mode`` is ``"plain"`` (nothing reads the events), ``"watch"`` (a
+    ``watch()`` consumer from the start) or ``"recorder"`` (an inner
+    ``TraceRecorder``).  Returns what the run left behind and the events
+    its reader saw.
+    """
+    recorder = TraceRecorder() if mode == "recorder" else None
+    service = SchedulerService(
+        ClusterScheduler(16),
+        policy="collocation",
+        admission=QuotaAdmission(default=TenantQuota(max_pending=2)),
+        recorder=recorder,
+    )
+    trace = sorted(mixed_trace(60, seed=13), key=lambda job: job.arrival_time)
+    watched = []
+
+    async def run():
+        task = None
+        if mode == "watch":
+            stream = service.watch()
+
+            async def consume():
+                async for event in stream:
+                    watched.append(event)
+
+            task = asyncio.create_task(consume())
+        # Two burst jobs take the tenant's pending slots and a third
+        # parks; a completion after both are placed re-admits it.
+        for index in range(3):
+            burst = _job(f"burst-{index}", iterations=30 + 10 * index)
+            await service.submit(burst)
+        for index, job in enumerate(trace):
+            await service.advance_to(job.arrival_time)
+            await service.submit(job)
+            if index % 5 == 2:
+                await service.cancel(job.name)
+            if index == 30:
+                await service.set_quota(
+                    default_tenant(job), TenantQuota(max_pending=64)
+                )
+        await service.drain()
+        outcome = {
+            "cluster_state": service.cluster_state(),
+            "ledgers": {
+                name: account.dump()
+                for name, account in service._accounts.items()
+            },
+            "durable_state": canonical_json(service.durable_state()).encode(),
+            "fingerprint": result_fingerprint(service.result()),
+        }
+        await service.close()
+        if task is not None:
+            await task
+        return outcome
+
+    outcome = asyncio.run(run())
+    events = list(recorder.events) if recorder is not None else watched
+    return outcome, events
+
+
+class TestEmitter:
+    def test_readers_do_not_change_the_run_and_see_one_stream(self):
+        """No reader, a watcher or a recorder: one run, one event stream."""
+        plain, unread = _emitter_script_run("plain")
+        watched, streamed = _emitter_script_run("watch")
+        recorded, events = _emitter_script_run("recorder")
+        assert unread == []
+        assert plain == watched == recorded
+        # Field by field, in emission order.
+        assert [astuple(e) for e in streamed] == [astuple(e) for e in events]
+        assert any(e.kind == EV_CANCEL for e in events)
+        parked = {
+            e.job for e in events
+            if e.kind == EV_SUBMIT and e.detail.startswith("queue:")
+        }
+        # A completion re-admits a parked job inside its own accounting:
+        # the watcher must still see the completion first.
+        assert any(
+            e.kind == EV_SUBMIT and e.detail.startswith("accept:")
+            and e.job in parked and before.kind == EV_COMPLETION
+            for before, e in zip(events, events[1:])
+        )
+
+    def test_unwatched_events_build_no_obs_event(self, monkeypatch):
+        """With no ``watch()`` stream open, the emitter builds no event."""
+        import repro.serve.service as service_module
+
+        built = []
+
+        def counting_event(*args, **kwargs):
+            built.append(kwargs["kind"])
+            return ObsEvent(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ObsEvent", counting_event)
+        _emitter_script_run("plain")
+        assert built == []
+        _, streamed = _emitter_script_run("watch")
+        assert len(built) == len(streamed) > 0
 
 
 # ---------------------------------------------------------------------------

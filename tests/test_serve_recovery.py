@@ -10,6 +10,7 @@ through the ``python -m repro.serve smoke --crash`` entry point.
 """
 
 import asyncio
+import contextlib
 import json
 import os
 import shutil
@@ -690,6 +691,29 @@ _RECOVERED = {
 }
 
 
+@contextlib.contextmanager
+def _counting_reads(monkeypatch, wal):
+    """While open, count reads of each journal segment under ``wal`` and
+    keep every scan recovery makes; yields ``(reads, scans)``."""
+    reads = Counter()
+    scans = []
+    real_read, real_scan = Path.read_bytes, recovery.scan_journal
+
+    def read_bytes(path):
+        if path.parent == wal and path.name.startswith("wal-"):
+            reads[path.name] += 1
+        return real_read(path)
+
+    def scan(*args, **kwargs):
+        scans.append(real_scan(*args, **kwargs))
+        return scans[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_bytes", read_bytes)
+        patch.setattr(recovery, "scan_journal", scan)
+        yield reads, scans
+
+
 class TestRecoveryScan:
     @pytest.mark.parametrize("scenario", sorted(_RECOVERY_SCENARIOS))
     def test_recovery_reads_each_segment_once(
@@ -699,22 +723,7 @@ class TestRecoveryScan:
         wal = tmp_path / "wal"
         _RECOVERY_SCENARIOS[scenario](wal)
         segments = scan_journal(wal).segments
-        reads = Counter()
-        scans = []
-        real_read, real_scan = Path.read_bytes, recovery.scan_journal
-
-        def read_bytes(path):
-            if path.parent == wal and path.name.startswith("wal-"):
-                reads[path.name] += 1
-            return real_read(path)
-
-        def scan(*args, **kwargs):
-            scans.append(real_scan(*args, **kwargs))
-            return scans[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Path, "read_bytes", read_bytes)
-            patch.setattr(recovery, "scan_journal", scan)
+        with _counting_reads(monkeypatch, wal) as (reads, scans):
             service, report = recover_service(_make_service, wal)
         state = canonical_json(service.durable_state())
         asyncio.run(service.close())
@@ -727,6 +736,37 @@ class TestRecoveryScan:
             fields["snapshot_path"] = Path(report.snapshot_path).name
         digest = sha256(state.encode()).hexdigest()
         assert (fields, digest) == _RECOVERED[scenario]
+
+    def test_chaos_recovery_cycle_reads_each_segment_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A chaos worker decides to recover from the directory listing, so
+        its cycle reads each segment once: in recovery's one scan."""
+        spec = default_spec(num_jobs=24, num_gpus=16)
+        wal = tmp_path / "wal"
+
+        class Killed(Exception):
+            pass
+
+        def kill(pid, sig):
+            raise Killed
+
+        # The step crash point kills the worker mid-run; raising in place
+        # of the SIGKILL leaves the directory as the kill would.
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "kill", kill)
+            with pytest.raises(Killed):
+                run_chaos_worker(spec, wal, CrashPoint("step", 40))
+        segments = scan_journal(wal).segments
+        assert segments and list_snapshots(wal)
+        with _counting_reads(monkeypatch, wal) as (reads, scans):
+            resumed = run_chaos_worker(spec, wal)
+
+        assert reads == Counter(segment.name for segment in segments)
+        assert len(scans) == 1
+        assert resumed["recovery"]["replayed_records"] == len(scans[0].records)
+        baseline = run_chaos_worker(spec, None)
+        assert resumed["fingerprint"] == baseline["fingerprint"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import json
 import math
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import asdict, fields
 
 import pytest
@@ -34,6 +35,8 @@ from repro.cache.fingerprint import (
 )
 from repro.cluster.job import JobKind
 from repro.sched import ClusterScheduler, TraceJob
+from repro.sched import snapshot as snapshot_module
+from repro.sched.engine import _CANCELLED, _DONE
 from repro.sched.metrics import JobRecord
 from repro.sched.snapshot import RECORD_FIELDS, dump_record, load_record
 from repro.serve import (
@@ -46,6 +49,7 @@ from repro.serve import (
     write_snapshot,
 )
 from repro.serve import recovery
+from repro.serve import service as service_module
 from repro.serve.recovery import SERVICE_SNAPSHOT_SCHEMA
 
 
@@ -324,6 +328,82 @@ class TestEverySnapshot:
         assert len(checked) > 1
         asyncio.run(recovered.close())
 
+
+class TestLazyCapture:
+    def test_frozen_rows_are_built_once_per_service(self, tmp_path):
+        """A snapshot builds only rows it has not encoded before.
+
+        Engine-job rows of ``done``/``cancelled`` jobs, completion records
+        and finished service rows are each built at most once per service,
+        by the first snapshot that sees them frozen; later snapshots reuse
+        their bytes.  Every file still equals the reference document of
+        the full ``durable_state()``, for the live service and for the
+        recovered one that keeps snapshotting."""
+        builds = Counter()
+        services = []
+        auditing = False
+        real_job_state = snapshot_module._dump_job_state
+        real_record = snapshot_module.dump_record
+        real_trace_job = service_module.dump_trace_job
+        real_write = recovery.write_snapshot
+
+        def dump_job_state(state):
+            if not auditing and state.status in (_DONE, _CANCELLED):
+                builds["engine-job", state.trace.name] += 1
+            return real_job_state(state)
+
+        def dump_record_counted(record):
+            if not auditing:
+                builds["record", record.name] += 1
+            return real_record(record)
+
+        def dump_trace_job(job):
+            handle = services[-1]._jobs.get(job.name) if services else None
+            if not auditing and handle is not None and handle.done():
+                builds["service-job", job.name] += 1
+            return real_trace_job(job)
+
+        def audited_write(service):
+            nonlocal auditing
+            path = real_write(service)
+            auditing = True
+            try:
+                reference = _reference_file(service.durable_state())
+            finally:
+                auditing = False
+            assert path.read_bytes() == reference
+            written.append(path)
+            return path
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(snapshot_module, "_dump_job_state", dump_job_state)
+            patch.setattr(snapshot_module, "dump_record", dump_record_counted)
+            patch.setattr(service_module, "dump_trace_job", dump_trace_job)
+            patch.setattr(recovery, "write_snapshot", audited_write)
+
+            written = []
+            services.append(_durable_service(tmp_path, snapshot_every=1))
+            _drive(services[-1], _SCRIPT[:16])
+            asyncio.run(services[-1].close())
+            live_builds, builds = builds, Counter()
+            live_written, written = written, []
+
+            def factory():
+                services.append(_durable_service(None))
+                return services[-1]
+
+            recovered, report = recover_service(
+                factory, tmp_path, snapshot_every=1
+            )
+            assert report.clean and report.replayed_records == 0
+            _drive(recovered, _SCRIPT[16:])
+            asyncio.run(recovered.close())
+
+        for counts, files in ((live_builds, live_written), (builds, written)):
+            kinds = Counter(kind for kind, _ in counts)
+            assert set(kinds) == {"engine-job", "record", "service-job"}
+            assert max(counts.values()) == 1, counts.most_common(3)
+            assert len(files) > 3
 
 class TestFraming:
     def test_pretty_printed_snapshot_is_corrupt_and_skipped(self, tmp_path):
