@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = [
     "canonical_json",
@@ -129,6 +129,51 @@ def fleet_fingerprint(fleet) -> str:
     return fingerprint("fleet", payload)
 
 
+#: ``fingerprint("trace", rows)`` hashes exactly these bytes around the rows.
+_TRACE_HEAD = b'["trace",['
+_TRACE_TAIL = b"]]"
+#: A trace row's keys in the order :func:`canonical_json` sorts them, each
+#: mapped to the text that precedes its value in the row.
+_TRACE_KEYS = {
+    key: ("," if i else "{") + canonical_json(key) + ":"
+    for i, key in enumerate(sorted((
+        "name", "model", "global_batch", "arrival_time", "iterations",
+        "kind", "amplification_limit", "max_gpus",
+    )))
+}
+#: Jobs per streamed block of :func:`trace_fingerprint`: bounds the text
+#: held at once, whatever the trace's length.
+_TRACE_BLOCK = 4096
+
+
+def _encode_column(values: List[Any]) -> List[str]:
+    """``[canonical_json(v) for v in values]``, from one encoder call.
+
+    The canonical array is split at its commas.  A JSON number, ``null`` or
+    ``true``/``false`` never contains one, so for a column of those the
+    split gives exactly one piece per value.  Any other value may (a string
+    or a list with a comma in it); then the piece count is off and the
+    column is encoded value by value instead.
+    """
+    pieces = canonical_json(values)[1:-1].split(",")
+    if len(pieces) == len(values):
+        return pieces
+    return [canonical_json(value) for value in values]
+
+
+def _encode_shared(values: List[Any], encode: Callable[[Any], str]) -> List[str]:
+    """``[encode(v) for v in values]``, calling ``encode`` once per object.
+
+    Jobs share their model name and kind objects, so a trace has only a
+    few distinct ones.  The memo is keyed by object identity, which is
+    exact while ``values`` holds them alive; a memo keyed by value would
+    merge objects that are equal but encode differently (``1 == True``).
+    """
+    ids = list(map(id, values))
+    text = {key: encode(value) for key, value in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
+
+
 def trace_fingerprint(trace) -> str:
     """Fingerprint of a :class:`~repro.sched.traces.TraceJob` arrival log.
 
@@ -136,21 +181,70 @@ def trace_fingerprint(trace) -> str:
     different workload (trace order breaks exact-time ties in the event
     queue).  The online service uses this to label a bridged replay with
     the identity of the arrival log it reproduced.
+
+    The digest is ``fingerprint("trace", rows)``, where each row is the
+    dict of a job's eight fields (``kind`` by its value).  It is computed
+    without building those dicts.  Each numeric field (``arrival_time``,
+    ``iterations``, ``global_batch``, ``amplification_limit``,
+    ``max_gpus``) is encoded as one column by one :func:`canonical_json`
+    call and split at its commas (:func:`_encode_column`).  Each distinct
+    ``model`` and ``kind`` object is encoded once (:func:`_encode_shared`),
+    and each ``name`` by its own call.  The rows are laid out with their
+    keys in sorted order, exactly as :func:`canonical_json` lays out a
+    dict, and hashed a block of jobs at a time.  Non-finite numbers raise
+    ``ValueError``, as they do in :func:`canonical_json`.
+
+    The fixed text between two per-job fields is memoized per shape.  Those
+    memos are keyed by the encoded texts of the fields, never by their
+    values: ``2 == 2.0 == True`` and ``0.0 == -0.0``, but each pair
+    encodes differently.
     """
-    payload = [
-        {
-            "name": job.name,
-            "model": job.model,
-            "global_batch": job.global_batch,
-            "arrival_time": job.arrival_time,
-            "iterations": job.iterations,
-            "kind": job.kind.value,
-            "amplification_limit": job.amplification_limit,
-            "max_gpus": job.max_gpus,
-        }
-        for job in trace
-    ]
-    return fingerprint("trace", payload)
+    jobs = list(trace)
+    key = _TRACE_KEYS
+    digest = hashlib.sha256(_TRACE_HEAD)
+    # In key order (amplification_limit, arrival_time, global_batch,
+    # iterations, kind, max_gpus, model, name), a row alternates fixed
+    # text and per-job values: the text before arrival_time depends only
+    # on amplification_limit, the text before iterations on global_batch,
+    # and the text before name on (kind, max_gpus, model).
+    heads: Dict[str, str] = {}
+    mids: Dict[str, str] = {}
+    tails: Dict[Tuple[str, str, str], str] = {}
+    for start in range(0, len(jobs), _TRACE_BLOCK):
+        block = jobs[start:start + _TRACE_BLOCK]
+        limits = _encode_column([job.amplification_limit for job in block])
+        for text in set(limits).difference(heads):
+            heads[text] = key["amplification_limit"] + text + key["arrival_time"]
+        batches = _encode_column([job.global_batch for job in block])
+        for text in set(batches).difference(mids):
+            mids[text] = key["global_batch"] + text + key["iterations"]
+        shapes = list(zip(
+            _encode_shared(
+                [job.kind for job in block], lambda kind: canonical_json(kind.value)
+            ),
+            _encode_column([job.max_gpus for job in block]),
+            _encode_shared([job.model for job in block], canonical_json),
+        ))
+        for kind, max_gpus, model in set(shapes).difference(tails):
+            tails[kind, max_gpus, model] = (
+                key["kind"] + kind + key["max_gpus"] + max_gpus
+                + key["model"] + model + key["name"]
+            )
+        # Seven pieces per row; the last closes the row and separates it
+        # from the next.
+        pieces = ["},"] * (7 * len(block))
+        pieces[0::7] = map(heads.__getitem__, limits)
+        pieces[1::7] = _encode_column([job.arrival_time for job in block])
+        pieces[2::7] = map(mids.__getitem__, batches)
+        pieces[3::7] = _encode_column([job.iterations for job in block])
+        pieces[4::7] = map(tails.__getitem__, shapes)
+        pieces[5::7] = map(canonical_json, [job.name for job in block])
+        pieces[-1] = "}"
+        if start:
+            digest.update(b",")
+        digest.update("".join(pieces).encode("utf-8"))
+    digest.update(_TRACE_TAIL)
+    return digest.hexdigest()
 
 
 # ``fingerprint("engine-snapshot", payload)`` hashes exactly these bytes

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.job import JobKind, TrainingJob
@@ -69,8 +70,11 @@ class TraceJob:
     max_gpus: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"job {self.name!r}: arrival_time must be >= 0")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(
+                f"job {self.name!r}: arrival_time must be finite and >= 0, "
+                f"got {self.arrival_time!r}"
+            )
         if self.iterations < 1:
             raise ValueError(f"job {self.name!r}: iterations must be positive")
         if self.global_batch < 1:
@@ -130,7 +134,7 @@ def _sorted_and_named(jobs: List[TraceJob]) -> List[TraceJob]:
     Names are unique within a trace, so the key is a total order: the result
     does not depend on the order the jobs were generated in.
     """
-    return sorted(jobs, key=lambda j: (j.arrival_time, j.name))
+    return sorted(jobs, key=attrgetter("arrival_time", "name"))
 
 
 def _default_batches(models: List[str]) -> Dict[str, int]:
@@ -138,6 +142,29 @@ def _default_batches(models: List[str]) -> Dict[str, int]:
     from ..models.registry import model_entry  # deferred: registry builds lazily
 
     return {model: model_entry(model).default_global_batch for model in models}
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject a rate or a period that is not positive (NaN included)."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def _check_drawn(name: str, values: Sequence, drawn: bool = True) -> None:
+    """Reject an empty list of choices that the generator would draw from."""
+    if drawn and not values:
+        raise ValueError(f"{name} must not be empty")
+
+
+def _check_range(
+    name: str, bounds: Tuple[int, int], drawn: bool
+) -> Tuple[int, int]:
+    """``(lo, hi)``, rejected if inverted and the generator would draw
+    from it."""
+    lo, hi = bounds
+    if drawn and not lo <= hi:
+        raise ValueError(f"{name} must be an increasing (lo, hi) range, got {bounds}")
+    return lo, hi
 
 
 def _synthetic_jobs(
@@ -152,47 +179,52 @@ def _synthetic_jobs(
     amplification_limits: Sequence[float],
     prefix: str,
 ) -> List[TraceJob]:
-    """:func:`synthetic_trace`'s jobs in generation order, names prefixed."""
+    """:func:`synthetic_trace`'s jobs in generation order, names prefixed.
+
+    Every argument is checked before the RNG is built.  A list of choices
+    or an iteration range only has to be usable if it can be drawn from:
+    ``bg_fraction == 0`` draws no background job, and ``bg_fraction == 1``
+    no foreground one.
+    """
     if num_jobs < 1:
         raise ValueError("num_jobs must be positive")
     if not (0.0 <= bg_fraction <= 1.0):
         raise ValueError("bg_fraction must be in [0, 1]")
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
+    _check_positive("arrival_rate", arrival_rate)
     models = list(models)
     bg_batches = list(bg_batches)
     amplification_limits = list(amplification_limits)
+    has_bg, has_fg = bg_fraction > 0.0, bg_fraction < 1.0
+    _check_drawn("models", models)
+    _check_drawn("bg_batches", bg_batches, has_bg)
+    _check_drawn("amplification_limits", amplification_limits, has_fg)
+    fg_lo, fg_hi = _check_range("fg_iterations", fg_iterations, has_fg)
+    bg_lo, bg_hi = _check_range("bg_iterations", bg_iterations, has_bg)
     default_batches = _default_batches(models)
 
     rng = random.Random(seed)
+    expovariate, choice, uniform, randint = (
+        rng.expovariate, rng.choice, rng.random, rng.randint
+    )
+    background, foreground = JobKind.BACKGROUND, JobKind.FOREGROUND
     jobs: List[TraceJob] = []
+    append = jobs.append
     clock = 0.0
+    # Draw order per job: gap, model, kind, then batch and iterations (a
+    # background job) or iterations and amplification limit (foreground).
     for i in range(num_jobs):
-        clock += rng.expovariate(arrival_rate)
-        model = rng.choice(models)
-        if rng.random() < bg_fraction:
-            jobs.append(
-                TraceJob(
-                    name=f"{prefix}bg-{i:03d}",
-                    model=model,
-                    global_batch=rng.choice(bg_batches),
-                    arrival_time=clock,
-                    iterations=rng.randint(*bg_iterations),
-                    kind=JobKind.BACKGROUND,
-                )
-            )
+        clock += expovariate(arrival_rate)
+        model = choice(models)
+        if uniform() < bg_fraction:
+            append(TraceJob(
+                f"{prefix}bg-{i:03d}", model, choice(bg_batches), clock,
+                randint(bg_lo, bg_hi), background,
+            ))
         else:
-            jobs.append(
-                TraceJob(
-                    name=f"{prefix}fg-{i:03d}",
-                    model=model,
-                    global_batch=default_batches[model],
-                    arrival_time=clock,
-                    iterations=rng.randint(*fg_iterations),
-                    kind=JobKind.FOREGROUND,
-                    amplification_limit=rng.choice(amplification_limits),
-                )
-            )
+            append(TraceJob(
+                f"{prefix}fg-{i:03d}", model, default_batches[model], clock,
+                randint(fg_lo, fg_hi), foreground, choice(amplification_limits),
+            ))
     return jobs
 
 
@@ -213,6 +245,9 @@ def synthetic_trace(
     second); each job is background with probability ``bg_fraction``,
     otherwise a foreground job with an iteration budget drawn uniformly from
     ``fg_iterations``.  Identical seeds produce identical traces.
+    ``arrival_rate`` must be positive, ``models`` non-empty, and the choices
+    and ``(lo, hi)`` ranges of each kind of job that can be drawn non-empty
+    and increasing.
     """
     return _sorted_and_named(
         _synthetic_jobs(
@@ -239,47 +274,41 @@ def _alibaba_jobs(
         raise ValueError("num_jobs must be positive")
     if not (0.0 <= small_fraction <= 1.0):
         raise ValueError("small_fraction must be in [0, 1]")
-    if mean_interarrival <= 0:
-        raise ValueError("mean_interarrival must be positive")
-    if diurnal_period <= 0:
-        raise ValueError("diurnal_period must be positive")
+    _check_positive("mean_interarrival", mean_interarrival)
+    _check_positive("diurnal_period", diurnal_period)
+    if not math.isfinite(sigma):
+        raise ValueError("sigma must be finite")
     models = list(models)
+    _check_drawn("models", models)
     default_batches = _default_batches(models)
 
     rng = random.Random(seed)
+    expovariate, choice, uniform, lognormvariate = (
+        rng.expovariate, rng.choice, rng.random, rng.lognormvariate
+    )
+    sin, two_pi = math.sin, 2.0 * math.pi
+    small_batches = (2, 4)
+    background, foreground = JobKind.BACKGROUND, JobKind.FOREGROUND
     jobs: List[TraceJob] = []
+    append = jobs.append
     clock = 0.0
     for i in range(num_jobs):
         # Day/night modulation: gaps stretch up to ~2x in the trough.
-        phase = 2.0 * math.pi * clock / diurnal_period
-        modulation = 1.5 - 0.5 * math.sin(phase)
-        clock += rng.expovariate(1.0 / (mean_interarrival * modulation))
-        model = rng.choice(models)
-        if rng.random() < small_fraction:
-            iterations = max(1, int(small_iterations * rng.lognormvariate(0.0, sigma)))
-            jobs.append(
-                TraceJob(
-                    name=f"{prefix}small-{i:03d}",
-                    model=model,
-                    global_batch=rng.choice((2, 4)),
-                    arrival_time=clock,
-                    iterations=iterations,
-                    kind=JobKind.BACKGROUND,
-                )
-            )
+        modulation = 1.5 - 0.5 * sin(two_pi * clock / diurnal_period)
+        clock += expovariate(1.0 / (mean_interarrival * modulation))
+        model = choice(models)
+        if uniform() < small_fraction:
+            iterations = max(1, int(small_iterations * lognormvariate(0.0, sigma)))
+            append(TraceJob(
+                f"{prefix}small-{i:03d}", model, choice(small_batches), clock,
+                iterations, background,
+            ))
         else:
-            iterations = max(1, int(large_iterations * rng.lognormvariate(0.0, sigma)))
-            jobs.append(
-                TraceJob(
-                    name=f"{prefix}large-{i:03d}",
-                    model=model,
-                    global_batch=default_batches[model],
-                    arrival_time=clock,
-                    iterations=iterations,
-                    kind=JobKind.FOREGROUND,
-                    amplification_limit=2.0,
-                )
-            )
+            iterations = max(1, int(large_iterations * lognormvariate(0.0, sigma)))
+            append(TraceJob(
+                f"{prefix}large-{i:03d}", model, default_batches[model], clock,
+                iterations, foreground, 2.0,
+            ))
     return jobs
 
 
@@ -302,7 +331,7 @@ def alibaba_trace(
     iteration budgets are log-normal (heavy tail), and the arrival rate is
     modulated by a deterministic diurnal wave of period ``diurnal_period``
     simulated seconds.  ``mean_interarrival`` and ``diurnal_period`` must be
-    positive.
+    positive, ``sigma`` finite and ``models`` non-empty.
     """
     return _sorted_and_named(
         _alibaba_jobs(
@@ -337,6 +366,9 @@ def mixed_trace(
         raise ValueError("mixed_trace needs at least 2 jobs (one per tenant)")
     if not (0.0 < synthetic_fraction < 1.0):
         raise ValueError("synthetic_fraction must be strictly between 0 and 1")
+    # Both tenants' rates are checked before either tenant draws.
+    _check_positive("arrival_rate", arrival_rate)
+    _check_positive("mean_interarrival", mean_interarrival)
     num_synthetic = max(1, min(num_jobs - 1, round(num_jobs * synthetic_fraction)))
     jobs = _synthetic_jobs(
         num_synthetic, seed, arrival_rate, models, bg_fraction=0.35,

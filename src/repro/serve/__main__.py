@@ -78,6 +78,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         "num_gpus": args.num_gpus,
         "policy": args.policy,
         "seed": args.seed,
+        "trace_fingerprint": report.trace_fingerprint,
         "offline_fingerprint": offline_fp,
         "service_fingerprint": service_fp,
         "match": offline_fp == service_fp,

@@ -201,6 +201,9 @@ TRACE_DIGESTS = [
     # perfbench's replay_idle trace.
     (mixed_trace, dict(num_jobs=10000, seed=1),
      "5ac54ab8f7b507d55072873ed52418d6c882d85302ee129b3cf6ec6ee0b9d9e6"),
+    # The same at the held-out benchmark seed.
+    (mixed_trace, dict(num_jobs=10000, seed=4099),
+     "1142d16613156162faf3a935a3ef2f3358f0942d83c0a6c739b746e97de7357b"),
 ]
 
 
@@ -215,7 +218,7 @@ def test_trace_digest_pinned(generator, kwargs, digest):
 
 class TestAlibabaArguments:
     @pytest.mark.parametrize("name", ["mean_interarrival", "diurnal_period"])
-    @pytest.mark.parametrize("value", [0, 0.0, -1.5])
+    @pytest.mark.parametrize("value", [0, 0.0, -1.5, math.nan])
     def test_non_positive_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             alibaba_trace(5, **{name: value})
@@ -231,6 +234,61 @@ class TestAlibabaArguments:
                 with pytest.raises(ValueError, match=name):
                     alibaba_trace(5, **{name: 0.0})
         assert rng.call_count == 0
+
+
+#: Arguments no generator can draw a valid trace from, each with the name
+#: its ``ValueError`` must carry.
+BAD_ARGUMENTS = [
+    (synthetic_trace, dict(arrival_rate=math.nan), "arrival_rate"),
+    (synthetic_trace, dict(arrival_rate=0.0), "arrival_rate"),
+    (synthetic_trace, dict(models=()), "models"),
+    (synthetic_trace, dict(bg_batches=()), "bg_batches"),
+    (synthetic_trace, dict(amplification_limits=[]), "amplification_limits"),
+    (synthetic_trace, dict(fg_iterations=(500, 499)), "fg_iterations"),
+    (synthetic_trace, dict(bg_iterations=(10, 2)), "bg_iterations"),
+    (alibaba_trace, dict(models=[]), "models"),
+    (alibaba_trace, dict(sigma=math.nan), "sigma"),
+    (alibaba_trace, dict(sigma=math.inf), "sigma"),
+    (mixed_trace, dict(arrival_rate=math.nan), "arrival_rate"),
+    (mixed_trace, dict(mean_interarrival=math.nan), "mean_interarrival"),
+    (mixed_trace, dict(models=()), "models"),
+]
+
+
+class TestTraceArguments:
+    """Bad generator arguments fail up front, naming the argument, where
+    they used to fail mid-generation (``IndexError``) or let NaN arrival
+    times through to the replay."""
+
+    @pytest.mark.parametrize(
+        "generator, kwargs, name",
+        BAD_ARGUMENTS,
+        ids=[f"{g.__name__}-{name}-{i}" for i, (g, _, name) in enumerate(BAD_ARGUMENTS)],
+    )
+    def test_rejected_before_any_draw(self, generator, kwargs, name):
+        with mock.patch("random.Random") as rng:
+            with pytest.raises(ValueError, match=name):
+                generator(10, **kwargs)
+        assert rng.call_count == 0
+
+    def test_unused_choices_may_be_empty(self):
+        """A list or range is only checked if the generator draws from it."""
+        all_fg = synthetic_trace(
+            20, seed=3, bg_fraction=0.0, bg_batches=(), bg_iterations=(9, 1)
+        )
+        assert all(job.is_foreground for job in all_fg)
+        all_bg = synthetic_trace(
+            20, seed=3, bg_fraction=1.0, amplification_limits=(), fg_iterations=(9, 1)
+        )
+        assert not any(job.is_foreground for job in all_bg)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -1.0])
+    def test_trace_job_rejects_bad_arrival(self, arrival):
+        with pytest.raises(ValueError, match="job 'j7': arrival_time"):
+            TraceJob("j7", "vgg16", 8, arrival, 10)
+
+    def test_trace_job_accepts_zero_arrival(self):
+        assert TraceJob("j", "vgg16", 8, 0.0, 10).arrival_time == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.fingerprint import canonical_json
+from repro.cache.fingerprint import canonical_json, trace_fingerprint
 from repro.obs import (
     EV_CANCEL,
     EV_COMPLETION,
@@ -148,6 +148,9 @@ class TestReplayParity:
         summary = json.loads((tmp_path / "serve_summary.json").read_text())
         assert summary["match"] is True
         assert summary["completed"] == 20
+        assert summary["trace_fingerprint"] == trace_fingerprint(
+            synthetic_trace(20, seed=2)
+        )
         chrome = json.loads((tmp_path / "serve_trace.json").read_text())
         assert chrome["traceEvents"]
 
